@@ -29,7 +29,7 @@ from .evaluate import (
     misclass_to_csv,
     overlap_to_text,
 )
-from .features import extract_features, read_features_csv, write_features_csv
+from .features import FEATURE_NAMES, extract_features, read_features_csv, write_features_csv
 from .forest import (
     ForestParams,
     ModelFormatError,
@@ -315,16 +315,8 @@ def cmd_generate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     dataset = _load_dataset(args.features)
-    params = _forest_params(cfg)
-    try:
-        params.validate(dataset.matrix.shape[1])
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from None
-    forest = forest_train(dataset, params, cfg.seed)
-    hits = sum(
-        forest_predict(forest, dataset.matrix[i])[0] == dataset.labels[i]
-        for i in range(dataset.n_rows)
-    )
+    forest = forest_train(dataset, _forest_params(cfg), cfg.seed)
+    hits = int((forest_predict(forest, dataset.matrix)[0] == dataset.labels).sum())
     atomic_write(args.model_out, forest_to_json(forest) + "\n")
     print(
         f"trained {cfg.trees} trees on {dataset.n_rows} rows; "
@@ -342,27 +334,28 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
     def work(path):
         try:
             graph, _ = load_graph(path)
-            label, votes = forest_predict(forest, extract_features(graph).as_array())
-            return path, label, votes, None
+            return path, extract_features(graph).as_array(), None
         except (ValidationFailure, GraphParseError, ValueError) as exc:
-            return path, None, None, f"{path}: {exc}"
+            return path, None, f"{path}: {exc}"
 
     results = _pool_map(cfg.workers, work, args.graphs)
+    done = [(path, row) for path, row, err in results if err is None]
+    matrix = np.array([row for _, row in done]).reshape(len(done), len(FEATURE_NAMES))
+    labels, votes = forest_predict(forest, matrix)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         ["path", "predicted"] + [f"votes_{s}" for s in forest.label_names]
     )
-    for path, label, votes, err in results:
-        if err is None:
-            writer.writerow(
-                [path, forest.label_names[label]] + [str(int(v)) for v in votes]
-            )
+    for (path, _), label, row_votes in zip(done, labels, votes):
+        writer.writerow(
+            [path, forest.label_names[label]] + [str(int(v)) for v in row_votes]
+        )
     if args.out:
         atomic_write(args.out, out.getvalue())
     else:
         sys.stdout.write(out.getvalue())
-    failures = [err for _, _, _, err in results if err is not None]
+    failures = [err for _, _, err in results if err is not None]
     for err in failures:
         print(f"error: {err}", file=sys.stderr)
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -370,12 +363,7 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     dataset = _load_dataset(args.features)
-    params = _forest_params(cfg)
-    try:
-        params.validate(dataset.matrix.shape[1])
-        result = cross_validate(dataset, params, cfg.folds, cfg.seed)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from None
+    result = cross_validate(dataset, _forest_params(cfg), cfg.folds, cfg.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     atomic_write(
         os.path.join(args.out_dir, "confusion.csv"), confusion_to_csv(result.confusion)

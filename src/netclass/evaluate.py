@@ -130,10 +130,8 @@ def cross_validate(
             raise ValueError(f"fold {f} leaves no training rows")
         forest = forest_train(dataset.subset(train_idx), params, derive_seed(seed, 1 + f))
         fold_params.append(forest.standardize)
-        for i in test_idx:
-            label, v = forest_predict(forest, dataset.matrix[i])
-            predictions[i] = label
-            votes[i] = v
+        rows = list(test_idx)
+        predictions[rows], votes[rows] = forest_predict(forest, dataset.matrix[rows])
     confusion = ConfusionMatrix.from_predictions(
         dataset.labels, predictions, dataset.label_names
     )

@@ -90,13 +90,6 @@ def triangle_counts(g: Graph) -> tuple[list[int], int]:
     return counts, total
 
 
-def global_clustering(g: Graph) -> float:
-    """Transitivity: 3 * triangles / wedges, 0 when the graph has no wedge."""
-    _, total = triangle_counts(g)
-    wedges = sum(d * (d - 1) // 2 for d in g.degrees())
-    return 3.0 * total / wedges if wedges else 0.0
-
-
 def avg_local_clustering(g: Graph, counts: "list[int] | None" = None) -> float:
     """Mean local clustering coefficient; degree < 2 nodes contribute 0."""
     if g.node_count == 0:

@@ -10,7 +10,7 @@ feature index / threshold / class index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,24 +18,12 @@ from .data import Dataset, StandardizeParams, apply_standardize, fit_standardize
 from .seeding import derive_seed, make_rng
 
 MODEL_FORMAT = "netclass-forest"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 
 
 class ModelFormatError(ValueError):
     """Raised when a serialized model cannot be understood."""
-
-
-@dataclass
-class Leaf:
-    counts: tuple[int, ...]
-
-
-@dataclass
-class Node:
-    feature: int
-    threshold: float
-    left: "Node | Leaf | None" = None
-    right: "Node | Leaf | None" = None
 
 
 @dataclass(frozen=True)
@@ -71,19 +59,37 @@ class ForestParams:
         return max(1, int(round(np.sqrt(n_features))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
-    root: "Node | Leaf"
-    n_classes: int
+    """A tree as parallel node arrays in preorder; node 0 is the root.
 
-    def predict_counts(self, x: np.ndarray) -> tuple[int, ...]:
-        node = self.root
-        while isinstance(node, Node):
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.counts
+    feature is -1 at leaves; an internal node sends x[feature] <= threshold
+    to left and the rest to right, and both children come after it.
+    counts[i] holds the per-class training counts that reached node i.
+    """
 
-    def predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.predict_counts(x)))
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+
+    def leaves(self, xs: np.ndarray) -> np.ndarray:
+        """Leaf index reached by each row of a matrix."""
+        node = np.zeros(len(xs), dtype=np.int64)
+        live = np.nonzero(self.feature[node] >= 0)[0]
+        while live.size:
+            at = node[live]
+            go_left = xs[live, self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+            live = live[self.feature[node[live]] >= 0]
+        return node
+
+    def predict(self, x: np.ndarray):
+        """Class of one vector (an int) or of each row of a matrix (an array)."""
+        x = np.asarray(x, dtype=np.float64)
+        labels = np.argmax(self.counts[self.leaves(np.atleast_2d(x))], axis=1)
+        return int(labels[0]) if x.ndim == 1 else labels
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,6 @@ class Forest:
     params: ForestParams
     standardize: StandardizeParams
     label_names: tuple[str, ...]
-    tree_seeds: tuple[int, ...] = field(default_factory=tuple)
 
 
 def _gini_gain(sv, sy, n_classes, parent_counts, parent_gini):
@@ -139,48 +144,52 @@ def train_tree(
     if not 1 <= features_per_split <= n_features:
         raise ValueError("features_per_split outside 1..n_features")
     rng = make_rng(seed)
-
-    def grow(idx: np.ndarray) -> "Node | Leaf":
-        counts = np.bincount(y[idx], minlength=n_classes)
+    feature, threshold, left, right, counts = [], [], [], [], []
+    # Pop the left child first: nodes are numbered, and draw their candidate
+    # features, in preorder.  A stack entry names its parent if it is a
+    # right child; a left child always directly follows its parent.
+    stack = [(np.arange(x.shape[0]), -1)]
+    while stack:
+        idx, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        node_counts = np.bincount(y[idx], minlength=n_classes)
         total = len(idx)
-        parent_gini = 1.0 - ((counts / total) ** 2).sum()
-        leaf = Leaf(tuple(int(c) for c in counts))
-        if total < min_split or (counts > 0).sum() <= 1:
-            return leaf
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append(node_counts)
+        if total < min_split or (node_counts > 0).sum() <= 1:
+            continue
+        parent_gini = 1.0 - ((node_counts / total) ** 2).sum()
         feats = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
         best = None
         for f in feats:
             col = x[idx, f]
             order = np.argsort(col, kind="stable")
-            found = _gini_gain(col[order], y[idx][order], n_classes, counts, parent_gini)
+            found = _gini_gain(col[order], y[idx][order], n_classes, node_counts,
+                               parent_gini)
             if found is None:
                 continue
-            gain, threshold = found
+            gain, cut = found
             if gain > 0.0 and (best is None or gain > best[0]):
-                best = (gain, int(f), threshold)
+                best = (gain, int(f), cut)
         if best is None:
-            return leaf
-        _, f, threshold = best
-        mask = x[idx, f] <= threshold
-        node = Node(f, threshold)
-        node.left = grow(idx[mask])
-        node.right = grow(idx[~mask])
-        return node
-
-    # Worst-case tree depth is the sample count, which can exceed the default
-    # interpreter stack budget on degenerate data.
-    import sys
-
-    limit = sys.getrecursionlimit()
-    needed = x.shape[0] + 100
-    if needed > limit:
-        sys.setrecursionlimit(needed)
-    try:
-        root = grow(np.arange(x.shape[0]))
-    finally:
-        if needed > limit:
-            sys.setrecursionlimit(limit)
-    return DecisionTree(root, n_classes)
+            continue
+        _, feature[node], threshold[node] = best
+        left[node] = node + 1
+        mask = x[idx, feature[node]] <= threshold[node]
+        stack.append((idx[~mask], node))
+        stack.append((idx[mask], -1))
+    return DecisionTree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+    )
 
 
 def forest_train(dataset: Dataset, params: ForestParams, master_seed: int) -> Forest:
@@ -195,61 +204,36 @@ def forest_train(dataset: Dataset, params: ForestParams, master_seed: int) -> Fo
     n = dataset.n_rows
     fps = params.resolved_features_per_split(n_features)
     trees = []
-    tree_seeds = []
     for t in range(params.trees):
-        boot_seed = derive_seed(master_seed, 2 * t)
-        split_seed = derive_seed(master_seed, 2 * t + 1)
-        idx = make_rng(boot_seed).integers(0, n, size=n)
+        idx = make_rng(derive_seed(master_seed, 2 * t)).integers(0, n, size=n)
         trees.append(
-            train_tree(xs[idx], y[idx], fps, params.min_split, split_seed,
+            train_tree(xs[idx], y[idx], fps, params.min_split,
+                       derive_seed(master_seed, 2 * t + 1),
                        n_classes=dataset.n_classes)
         )
-        tree_seeds.append(boot_seed)
-    return Forest(tuple(trees), params, std_params, dataset.label_names,
-                  tuple(tree_seeds))
+    return Forest(tuple(trees), params, std_params, dataset.label_names)
 
 
-def forest_predict(forest: Forest, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Majority vote over trees on one raw (unstandardized) feature vector.
+def forest_predict(forest: Forest, x: np.ndarray):
+    """Majority vote over trees on raw (unstandardized) feature vectors.
 
-    Returns (label index, per-class vote counts); vote ties go to the lowest
-    class index.
+    One vector gives (label index, per-class vote counts); a matrix gives
+    (labels, votes) arrays with one row per input row.  Vote ties go to the
+    lowest class index.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != len(forest.standardize.means):
-        raise ValueError(
-            f"expected a vector of {len(forest.standardize.means)} features"
-        )
-    xs = apply_standardize(forest.standardize, x)
-    votes = np.zeros(len(forest.label_names), dtype=np.int64)
+    n_features = len(forest.standardize.means)
+    if x.ndim not in (1, 2) or x.shape[-1] != n_features:
+        raise ValueError(f"expected rows of {n_features} features")
+    xs = apply_standardize(forest.standardize, np.atleast_2d(x))
+    votes = np.zeros((len(xs), len(forest.label_names)), dtype=np.int64)
+    rows = np.arange(len(xs))
     for tree in forest.trees:
-        votes[tree.predict(xs)] += 1
-    return int(np.argmax(votes)), votes
-
-
-def _node_to_dict(node: "Node | Leaf") -> dict:
-    if isinstance(node, Leaf):
-        return {"counts": list(node.counts)}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(data: dict) -> "Node | Leaf":
-    if "counts" in data:
-        return Leaf(tuple(int(c) for c in data["counts"]))
-    try:
-        return Node(
-            int(data["feature"]),
-            float(data["threshold"]),
-            _node_from_dict(data["left"]),
-            _node_from_dict(data["right"]),
-        )
-    except KeyError as exc:
-        raise ModelFormatError(f"tree node missing key {exc}") from None
+        votes[rows, tree.predict(xs)] += 1
+    labels = np.argmax(votes, axis=1)
+    if x.ndim == 1:
+        return int(labels[0]), votes[0]
+    return labels, votes
 
 
 def forest_to_json(forest: Forest) -> str:
@@ -262,38 +246,64 @@ def forest_to_json(forest: Forest) -> str:
             "trees": forest.params.trees,
             "features_per_split": forest.params.features_per_split,
             "min_split": forest.params.min_split,
-            "log_flags": (
-                list(forest.params.log_flags)
-                if forest.params.log_flags is not None else None
-            ),
         },
         "standardize": {
             "log_flags": list(forest.standardize.log_flags),
             "means": list(forest.standardize.means),
             "stds": list(forest.standardize.stds),
         },
-        "tree_seeds": list(forest.tree_seeds),
         "trees": [
-            {"n_classes": t.n_classes, "root": _node_to_dict(t.root)}
+            {name: getattr(t, name).tolist() for name in TREE_ARRAYS}
             for t in forest.trees
         ],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> DecisionTree:
+    """Build one tree from its arrays, checking every shape and index."""
+    tree = DecisionTree(*(
+        np.asarray(data[name], dtype=np.float64 if name == "threshold" else np.int64)
+        for name in TREE_ARRAYS
+    ))
+    n = len(tree.feature)
+    if n < 1 or tree.counts.shape != (n, n_classes) or any(
+        getattr(tree, name).shape != (n,) for name in TREE_ARRAYS[:4]
+    ):
+        raise ModelFormatError(
+            f"tree arrays must have one entry per node and {n_classes} counts each"
+        )
+    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+        raise ModelFormatError(f"tree feature index outside 0..{n_features - 1}")
+    # Children must come after their parent, so every walk ends at a leaf.
+    inner = tree.feature >= 0
+    node = np.arange(n)[inner]
+    for child in (tree.left[inner], tree.right[inner]):
+        if ((child <= node) | (child >= n)).any():
+            raise ModelFormatError("tree child index out of range")
+    return tree
+
+
 def forest_from_json(text: str) -> Forest:
     """Parse a model document, rejecting unknown formats and versions."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a netclass-forest model file")
     if payload.get("version") != MODEL_VERSION:
         raise ModelFormatError(
-            f"unsupported model version {payload.get('version')!r}"
+            f"unsupported model version {payload.get('version')!r} "
+            f"(this netclass reads version {MODEL_VERSION}); retrain the model"
         )
     try:
+        std = payload["standardize"]
+        standardize = StandardizeParams(
+            tuple(bool(b) for b in std["log_flags"]),
+            tuple(float(v) for v in std["means"]),
+            tuple(float(v) for v in std["stds"]),
+        )
         raw_params = payload["params"]
         params = ForestParams(
             trees=int(raw_params["trees"]),
@@ -302,23 +312,21 @@ def forest_from_json(text: str) -> Forest:
                 else int(raw_params["features_per_split"])
             ),
             min_split=int(raw_params["min_split"]),
-            log_flags=(
-                None if raw_params["log_flags"] is None
-                else tuple(bool(b) for b in raw_params["log_flags"])
-            ),
-        )
-        std = payload["standardize"]
-        standardize = StandardizeParams(
-            tuple(bool(b) for b in std["log_flags"]),
-            tuple(float(v) for v in std["means"]),
-            tuple(float(v) for v in std["stds"]),
-        )
-        trees = tuple(
-            DecisionTree(_node_from_dict(t["root"]), int(t["n_classes"]))
-            for t in payload["trees"]
+            log_flags=standardize.log_flags,
         )
         label_names = tuple(str(s) for s in payload["label_names"])
-        tree_seeds = tuple(int(s) for s in payload["tree_seeds"])
-    except (KeyError, TypeError) as exc:
+        n_features = len(standardize.means)
+        if not label_names or n_features < 1 or not (
+            len(standardize.log_flags) == n_features == len(standardize.stds)
+        ):
+            raise ModelFormatError("model needs labels and equal-length standardize lists")
+        trees = tuple(
+            _tree_from_dict(t, n_features, len(label_names)) for t in payload["trees"]
+        )
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
-    return Forest(trees, params, standardize, label_names, tree_seeds)
+    if not trees:
+        raise ModelFormatError("model holds no trees")
+    return Forest(trees, params, standardize, label_names)

@@ -282,7 +282,7 @@ class TestTrainPredict:
     def test_model_document(self, corpus, capsys):
         doc = json.loads(read(corpus["model"]))
         assert doc["format"] == "netclass-forest"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["label_names"] == ["BA", "ER"]
         assert len(doc["trees"]) == 9
 
@@ -319,6 +319,41 @@ class TestTrainPredict:
         graph = str(corpus["graphs"] / "ba_0000.edges")
         assert main(["predict", str(bad), graph]) == 1
         assert "model" in capsys.readouterr().err
+
+        good = json.loads(read(corpus["model"]))
+        leaf = good["trees"][0]["feature"].index(-1)
+
+        def edited(path, value):
+            doc = json.loads(read(corpus["model"]))
+            *keys, last = path
+            target = doc
+            for key in keys:
+                target = target[key]
+            target[last] = value
+            return json.dumps(doc)
+
+        cases = {
+            "feature index 99": (
+                edited(["trees", 0, "feature", 0], 99), "feature index outside"),
+            "one count per leaf": (
+                edited(["trees", 0, "counts", leaf], [1]), "malformed"),
+            "three counts per leaf": (
+                edited(["trees", 0, "counts", leaf], [1, 0, 0]), "malformed"),
+            "all nodes three counts": (
+                edited(["trees", 0, "counts"],
+                       [c + [0] for c in good["trees"][0]["counts"]]), "2 counts"),
+            "child loops to parent": (
+                edited(["trees", 0, "left", 0], 0), "child index"),
+            "no trees": (edited(["trees"], []), "no trees"),
+            "version 1": (edited(["version"], 1), "retrain"),
+            "nested 5000 deep": (
+                '{"format":"netclass-forest","version":2,"trees":'
+                + "[" * 5000 + "]" * 5000 + "}", "not valid JSON"),
+        }
+        for name, (text, message) in cases.items():
+            bad.write_text(text, encoding="utf-8")
+            assert main(["predict", str(bad), graph]) == 1, name
+            assert message in capsys.readouterr().err, name
 
     def test_internal_errors_map_to_3(self, tmp_path, corpus, capsys, monkeypatch):
         import netclass.cli as cli_module

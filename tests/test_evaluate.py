@@ -93,6 +93,13 @@ class TestCrossValidate:
         assert result.predictions.shape == (ds.n_rows,)
         assert set(result.predictions) <= {0, 1}
 
+    def test_empty_folds_predict_nothing(self):
+        ds = separable_dataset(n_per_class=3, seed=4)
+        result = cross_validate(ds, ForestParams(trees=5), k=5, seed=0)
+        assert [len(f) for f in result.plan.folds] == [2, 2, 2, 0, 0]
+        assert np.all(result.predictions >= 0)
+        assert result.confusion.counts.sum() == ds.n_rows
+
     def test_fold_standardization_fits_train_rows_only(self):
         ds = separable_dataset(seed=8)
         result = cross_validate(ds, ForestParams(trees=3), k=2, seed=2)

@@ -7,17 +7,38 @@ import pytest
 
 from netclass import (
     Dataset,
+    Forest,
     ForestParams,
     ModelFormatError,
+    apply_standardize,
     derive_seed,
+    fit_standardize,
     forest_from_json,
     forest_predict,
     forest_to_json,
     forest_train,
     train_tree,
 )
-from netclass.forest import Leaf, Node
+from netclass.forest import TREE_ARRAYS
 from netclass.seeding import make_rng
+
+
+def arrays(tree):
+    return {name: getattr(tree, name).tolist() for name in TREE_ARRAYS}
+
+
+def walk(tree, row):
+    """Reference traversal of one row, node by node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return node
+
+
+def is_single_leaf(tree, counts):
+    return arrays(tree) == {"feature": [-1], "threshold": [0.0], "left": [-1],
+                            "right": [-1], "counts": [counts]}
 
 
 def unique_dataset(n_rows=40, n_cols=8, n_classes=4, seed=5):
@@ -34,10 +55,10 @@ class TestTrainTree:
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
         tree = train_tree(x, y, features_per_split=1, min_split=2, seed=0)
-        assert isinstance(tree.root, Node)
-        assert tree.root.threshold == 0.0  # midpoint of -1 and 1
-        assert tree.root.left.counts == (2, 0)
-        assert tree.root.right.counts == (0, 2)
+        assert tree.feature.tolist() == [0, -1, -1]  # a split, then two leaves
+        assert tree.threshold[0] == 0.0  # midpoint of -1 and 1
+        assert (tree.left[0], tree.right[0]) == (1, 2)
+        assert tree.counts.tolist() == [[2, 2], [2, 0], [0, 2]]
         assert tree.predict(np.array([-5.0])) == 0
         assert tree.predict(np.array([0.0])) == 0  # x <= threshold goes left
         assert tree.predict(np.array([0.5])) == 1
@@ -46,32 +67,31 @@ class TestTrainTree:
         x = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
         tree = train_tree(x, y, 1, 2, seed=1)
-        assert tree.root.threshold == 0.5
+        assert tree.threshold[0] == 0.5
 
     def test_pure_node_is_leaf(self):
         x = np.array([[1.0], [2.0], [3.0]])
         tree = train_tree(x, np.array([1, 1, 1]), 1, 2, seed=0, n_classes=2)
-        assert tree.root == Leaf((0, 3))
+        assert is_single_leaf(tree, [0, 3])
 
     def test_min_split_stops_growth(self):
         x = np.array([[-1.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
         tree = train_tree(x, y, 1, min_split=5, seed=0)
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.counts == (2, 2)
+        assert is_single_leaf(tree, [2, 2])
 
     def test_no_positive_gain_is_leaf(self):
         # identical rows with mixed labels cannot be split
         x = np.zeros((4, 3))
         y = np.array([0, 1, 0, 1])
         tree = train_tree(x, y, 3, 2, seed=0)
-        assert isinstance(tree.root, Leaf)
+        assert is_single_leaf(tree, [2, 2])
 
     def test_equal_gain_breaks_to_lowest_feature(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1])
         tree = train_tree(x, y, features_per_split=2, min_split=2, seed=3)
-        assert tree.root.feature == 0
+        assert tree.feature[0] == 0
 
     def test_leaf_vote_tie_breaks_to_lowest_class(self):
         x = np.zeros((2, 1))
@@ -85,7 +105,7 @@ class TestTrainTree:
         y = rng.integers(0, 3, size=30)
         t1 = train_tree(x, y, 2, 2, seed=42)
         t2 = train_tree(x, y, 2, 2, seed=42)
-        assert t1 == t2
+        assert arrays(t1) == arrays(t2)
 
     def test_perfectly_fits_unique_rows(self):
         rng = np.random.default_rng(12)
@@ -94,6 +114,7 @@ class TestTrainTree:
         tree = train_tree(x, y, 4, 2, seed=1)
         got = [tree.predict(x[i]) for i in range(25)]
         assert got == [int(v) for v in y]
+        assert tree.predict(x).tolist() == got
 
 
 class TestForest:
@@ -115,10 +136,14 @@ class TestForest:
     def test_bootstrap_seed_schedule(self):
         ds = unique_dataset(n_rows=12, seed=4)
         forest = forest_train(ds, ForestParams(trees=3), master_seed=11)
-        assert forest.tree_seeds == tuple(derive_seed(11, 2 * t) for t in range(3))
-        # the recorded seed regenerates tree t's bootstrap sample
-        idx = make_rng(forest.tree_seeds[1]).integers(0, 12, size=12)
-        assert len(idx) == 12
+        # tree 1 bootstraps from derive_seed(11, 2) and splits with (11, 3)
+        xs = apply_standardize(forest.standardize, ds.matrix)
+        idx = make_rng(derive_seed(11, 2)).integers(0, 12, size=12)
+        fps = ForestParams().resolved_features_per_split(8)
+        tree = train_tree(xs[idx], ds.labels[idx], fps, 2, derive_seed(11, 3),
+                          n_classes=ds.n_classes)
+        assert arrays(tree) == arrays(forest.trees[1])
+        assert arrays(tree) != arrays(forest.trees[0])
 
     def test_deterministic_and_seed_sensitive(self):
         ds = unique_dataset(n_rows=20, seed=9)
@@ -132,6 +157,24 @@ class TestForest:
         assert ForestParams().resolved_features_per_split(15) == 4
         assert ForestParams().resolved_features_per_split(9) == 3
         assert ForestParams(features_per_split=7).resolved_features_per_split(15) == 7
+
+    def test_matrix_predict_matches_row_calls(self):
+        ds = unique_dataset()
+        forest = forest_train(ds, ForestParams(trees=7), 4)
+        labels, votes = forest_predict(forest, ds.matrix)
+        xs = apply_standardize(forest.standardize, ds.matrix)
+        want = np.zeros_like(votes)
+        for tree in forest.trees:
+            for i, row in enumerate(xs):
+                want[i, np.argmax(tree.counts[walk(tree, row)])] += 1
+        assert np.array_equal(votes, want)
+        rows = [forest_predict(forest, row) for row in ds.matrix]
+        assert all(type(label) is int for label, _ in rows)
+        assert labels.tolist() == [label for label, _ in rows]
+        assert np.array_equal(votes, np.stack([v for _, v in rows]))
+        labels, votes = forest_predict(forest, ds.matrix[:0])
+        assert labels.shape == (0,)
+        assert votes.shape == (0, ds.n_classes)
 
     def test_dimension_mismatch_rejected(self):
         ds = unique_dataset(n_cols=5)
@@ -187,17 +230,37 @@ class TestModelSerialization:
         ds = unique_dataset(n_rows=10)
         payload = json.loads(forest_to_json(forest_train(ds, ForestParams(trees=2), 0)))
         assert payload["format"] == "netclass-forest"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert len(payload["trees"]) == 2
         assert payload["label_names"] == list(ds.label_names)
+        assert "tree_seeds" not in payload
+        assert "log_flags" not in payload["params"]
+        for tree in payload["trees"]:
+            assert sorted(tree) == sorted(TREE_ARRAYS)
+            assert len(tree["counts"]) == len(tree["feature"])
+            assert all(len(c) == ds.n_classes for c in tree["counts"])
+
+    def test_deep_tree_round_trips(self):
+        # alternating labels on a line give a chain 1499 splits deep
+        x = np.arange(1500.0)[:, None]
+        y = np.arange(1500) % 2
+        tree = train_tree(x, y, 1, 2, seed=0)
+        assert len(tree.feature) == 2999
+        assert tree.predict(x).tolist() == y.tolist()
+        forest = Forest((tree,), ForestParams(trees=1), fit_standardize(x), ("a", "b"))
+        text = forest_to_json(forest)
+        again = forest_from_json(text)
+        assert arrays(again.trees[0]) == arrays(tree)
+        assert forest_to_json(again) == text
 
     def test_wrong_format_rejected(self):
         with pytest.raises(ModelFormatError, match="not a netclass-forest"):
             forest_from_json('{"format": "something-else", "version": 1}')
 
     def test_wrong_version_rejected(self):
-        with pytest.raises(ModelFormatError, match="version"):
-            forest_from_json('{"format": "netclass-forest", "version": 99}')
+        for version in (99, 1):
+            with pytest.raises(ModelFormatError, match="version.*retrain"):
+                forest_from_json(f'{{"format": "netclass-forest", "version": {version}}}')
 
     def test_truncated_json_rejected(self):
         ds = unique_dataset(n_rows=10)
@@ -207,4 +270,4 @@ class TestModelSerialization:
 
     def test_missing_key_rejected(self):
         with pytest.raises(ModelFormatError, match="malformed"):
-            forest_from_json('{"format": "netclass-forest", "version": 1}')
+            forest_from_json('{"format": "netclass-forest", "version": 2}')
