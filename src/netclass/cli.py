@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 validation error (bad flags, config, or input
 files), 2 partial data failure (some graphs failed but output was written
 for the rest), 3 internal error.  All file outputs are written atomically
-(temp file + rename) and are byte-identical for a given seed regardless of
---workers.
+(temp file + rename) and are byte-identical for a given seed.  Every
+command runs serially in one process; --workers is accepted and checked (it
+must be at least 1) but currently has no effect.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import io
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,7 +40,7 @@ from .forest import (
 )
 from .graph import GraphParseError, parse_edge_list, parse_matrix_market, write_edge_list
 from .kmeans import kmeans
-from .synth import default_corpus_specs, generate_entry, parse_generator_spec
+from .synth import default_corpus_specs, generate_corpus, parse_generator_spec
 from .tsne import tsne
 
 EXIT_OK = 0
@@ -222,22 +222,44 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     return rows
 
 
-def _pool_map(workers: int, fn, items):
-    """Order-preserving map over a thread pool (pool size never affects output)."""
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _graph_features(path: str):
+    """Parse one graph file and extract its features.
+
+    Returns (features, None), or (None, message) when the graph cannot be
+    read, parsed or measured, so one bad file never stops a batch.
+    """
+    try:
+        graph, _ = load_graph(path)
+        return extract_features(graph), None
+    except (ValidationFailure, GraphParseError, ValueError) as exc:
+        return None, f"{path}: {exc}"
 
 
-def _load_dataset(features_path: str) -> Dataset:
+def _read_feature_table(features_path: str, build):
+    """Read a non-empty feature CSV and return build(names, categories, matrix).
+
+    A ValueError from the reader or from `build` becomes a ValidationFailure
+    naming the file.
+    """
     try:
         names, categories, matrix = read_features_csv(io.StringIO(_read_text(features_path)))
         if not names:
             raise ValueError("feature CSV has no data rows")
-        return Dataset.from_feature_table(names, categories, matrix)
+        return build(names, categories, matrix)
     except ValueError as exc:
         raise ValidationFailure(f"{features_path}: {exc}") from None
+
+
+def _load_dataset(features_path: str) -> Dataset:
+    return _read_feature_table(features_path, Dataset.from_feature_table)
+
+
+def _standardized_matrix(features_path: str):
+    def standardize(names, categories, matrix):
+        params = fit_standardize(matrix, feature_log_flags())
+        return names, categories, apply_standardize(params, matrix)
+
+    return _read_feature_table(features_path, standardize)
 
 
 def _forest_params(cfg: RunConfig) -> ForestParams:
@@ -251,26 +273,19 @@ def _forest_params(cfg: RunConfig) -> ForestParams:
 
 def cmd_features(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = read_manifest(args.manifest)
-
-    def work(row):
-        graph_path, name, category = row
-        try:
-            graph, _ = load_graph(graph_path)
-            return name, category, extract_features(graph), None
-        except (ValidationFailure, GraphParseError, ValueError) as exc:
-            return name, category, None, f"{name}: {graph_path}: {exc}"
-
-    results = _pool_map(cfg.workers, work, rows)
+    done, failures = [], []
+    for graph_path, name, category in rows:
+        fv, err = _graph_features(graph_path)
+        if err is None:
+            done.append((name, category, fv))
+        else:
+            failures.append(f"{name}: {err}")
     out = io.StringIO()
-    write_features_csv(
-        out, [(n, c, fv) for n, c, fv, err in results if err is None]
-    )
+    write_features_csv(out, done)
     atomic_write(args.out, out.getvalue())
-    failures = [err for _, _, _, err in results if err is not None]
     for err in failures:
         print(f"error: {err}", file=sys.stderr)
-    ok = len(results) - len(failures)
-    print(f"extracted features for {ok}/{len(results)} graphs -> {args.out}")
+    print(f"extracted features for {len(done)}/{len(rows)} graphs -> {args.out}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -282,20 +297,9 @@ def cmd_generate(args: argparse.Namespace, cfg: RunConfig) -> int:
             raise ValidationFailure(f"{args.specfile}: {exc}") from None
     else:
         specs = default_corpus_specs(cfg.seed)
-    try:
-        for spec in specs:
-            spec.validate()
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from None
-    tasks = []
-    index = 0
-    for spec in specs:
-        for i in range(spec.count):
-            tasks.append((spec, i, index))
-            index += 1
-    if not tasks:
+    entries = generate_corpus(specs)
+    if not entries:
         raise ValidationFailure("generator spec produces no graphs")
-    entries = _pool_map(cfg.workers, lambda t: generate_entry(*t), tasks)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = io.StringIO()
     writer = csv.writer(manifest, lineterminator="\n")
@@ -330,16 +334,13 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
         forest = forest_from_json(_read_text(args.model))
     except ModelFormatError as exc:
         raise ValidationFailure(f"{args.model}: {exc}") from None
-
-    def work(path):
-        try:
-            graph, _ = load_graph(path)
-            return path, extract_features(graph).as_array(), None
-        except (ValidationFailure, GraphParseError, ValueError) as exc:
-            return path, None, f"{path}: {exc}"
-
-    results = _pool_map(cfg.workers, work, args.graphs)
-    done = [(path, row) for path, row, err in results if err is None]
+    done, failures = [], []
+    for path in args.graphs:
+        fv, err = _graph_features(path)
+        if err is None:
+            done.append((path, fv.as_array()))
+        else:
+            failures.append(err)
     matrix = np.array([row for _, row in done]).reshape(len(done), len(FEATURE_NAMES))
     labels, votes = forest_predict(forest, matrix)
     out = io.StringIO()
@@ -355,7 +356,6 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
         atomic_write(args.out, out.getvalue())
     else:
         sys.stdout.write(out.getvalue())
-    failures = [err for _, _, err in results if err is not None]
     for err in failures:
         print(f"error: {err}", file=sys.stderr)
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -380,19 +380,6 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
         f"({len(result.misclassified)} misclassified) -> {args.out_dir}"
     )
     return EXIT_OK
-
-
-def _standardized_matrix(features_path: str):
-    try:
-        names, categories, matrix = read_features_csv(
-            io.StringIO(_read_text(features_path))
-        )
-        if not names:
-            raise ValueError("feature CSV has no data rows")
-        params = fit_standardize(matrix, feature_log_flags())
-        return names, categories, apply_standardize(params, matrix)
-    except ValueError as exc:
-        raise ValidationFailure(f"{features_path}: {exc}") from None
 
 
 def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -423,6 +410,9 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_cluster(args: argparse.Namespace, cfg: RunConfig) -> int:
     names, categories, matrix = _standardized_matrix(args.features)
+    labeled = [i for i, c in enumerate(categories) if c]
+    if args.overlap_out and not labeled:
+        raise ValidationFailure("no labeled rows; cannot write overlap report")
     try:
         result = kmeans(
             matrix,
@@ -442,9 +432,6 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig) -> int:
     print(f"clustered {len(names)} rows into {cfg.kmeans_k} groups "
           f"(inertia {result.inertia:.6f}) -> {args.out}")
     if args.overlap_out:
-        labeled = [i for i, c in enumerate(categories) if c]
-        if not labeled:
-            raise ValidationFailure("no labeled rows; cannot write overlap report")
         label_names = tuple(sorted({categories[i] for i in labeled}))
         lookup = {c: j for j, c in enumerate(label_names)}
         report = cluster_category_overlap(
@@ -471,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value settings file")
     common.add_argument("--seed", type=int, help="master seed (default 42)")
-    common.add_argument("--workers", type=int, help="worker pool size (default 1)")
+    common.add_argument("--workers", type=int,
+                        help="must be at least 1; no effect (commands run serially)")
 
     parser = _Parser(
         prog="netclass",

@@ -163,6 +163,8 @@ def parse_matrix_market(text: "str | IO[str]") -> tuple[Graph, NodeIdMap]:
         rows, cols, nnz = (int(t) for t in dims)
     except ValueError:
         raise GraphParseError(f"line {dim_lineno}: non-integer dimensions") from None
+    if min(rows, cols, nnz) < 0:
+        raise GraphParseError(f"line {dim_lineno}: negative dimensions {dim_line!r}")
     if rows != cols:
         raise GraphParseError(f"line {dim_lineno}: non-square matrix {rows}x{cols}")
     if len(body) - 1 != nnz:

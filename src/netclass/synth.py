@@ -78,7 +78,8 @@ class GeneratorSpec:
 
     ER specs take either an explicit probability range or an expected
     average-degree range (p is then min(degree/(n-1), 1)); BA specs take an
-    attachment-count range.  Node counts are drawn log-uniformly.
+    attachment-count range.  Node counts are drawn log-uniformly.  A spec is
+    checked when it is built, so an invalid one cannot exist.
     """
 
     family: str
@@ -88,6 +89,9 @@ class GeneratorSpec:
     p_range: "tuple[float, float] | None" = None
     avg_degree_range: "tuple[float, float] | None" = None
     m_range: "tuple[int, int] | None" = None
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -173,7 +177,6 @@ def generate_corpus(specs: Iterable[GeneratorSpec]) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     index = 0
     for spec in specs:
-        spec.validate()
         for i in range(spec.count):
             entries.append(generate_entry(spec, i, index))
             index += 1
@@ -283,6 +286,5 @@ def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
                 )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad [{section}] section: {exc}") from None
-        spec.validate()
         specs.append(spec)
     return specs

@@ -192,6 +192,22 @@ class TestGenerate:
         assert main(["generate", str(spec), "--out-dir", str(tmp_path / "o")]) == 1
         assert "unknown generator section" in capsys.readouterr().err
 
+    def test_out_of_range_section_names_file_and_section(self, tmp_path, capsys):
+        spec = tmp_path / "bad.ini"
+        spec.write_text(
+            "[er]\ncount = 2\nnodes_min = 10\nnodes_max = 20\n"
+            "p_min = 0.1\np_max = 0.2\n\n"
+            "[ba]\ncount = 2\nnodes_min = 10\nnodes_max = 20\n"
+            "m_min = 2\nm_max = 10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["generate", str(spec), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{spec}: bad [ba] section:" in err
+        assert "m_hi < n_lo" in err
+        assert not out.exists()
+
     def test_zero_graph_spec_rejected(self, tmp_path, capsys):
         spec = tmp_path / "empty.ini"
         spec.write_text(
@@ -445,3 +461,4 @@ class TestEmbedCluster:
                      "--k", "2", "--overlap-out", str(tmp_path / "o.txt")])
         assert code == 1
         assert "no labeled rows" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()

@@ -1,4 +1,4 @@
-"""Golden digests: every CLI output of the acceptance run, pinned by sha256.
+"""Golden digests: CLI outputs pinned by sha256.
 
 A change to any digest below is a change to output bytes; make it on
 purpose and declare it in CHANGES.md.
@@ -6,7 +6,9 @@ purpose and declare it in CHANGES.md.
 
 import hashlib
 
-from test_acceptance import run_all_commands
+from test_acceptance import read, run_all_commands
+
+from netclass.cli import main
 
 OUTPUTS = (
     "manifest.csv", "graphs/*.edges", "features.csv", "model.json", "pred.csv",
@@ -28,12 +30,36 @@ GOLDEN = {
     "overlap.txt": "60c76bf1e05e34160122757413c3b5448abfe50851d893362e881f69262949d4",
 }
 
+# The stock 125-graph corpus (no spec file), seed 7, and its features.
+STOCK_GOLDEN = {
+    "manifest.csv": "7d3963a14a391628c970b9c18e3f1ef991a1534d4ddb506fb0016534ff1e9e03",
+    "graphs/*.edges": "93a5284a33dc06f7c62ffb2d72dfbd021431217c94920ea7579fece0263ab518",
+    "features.csv": "1a61aed90ceb047db8f6059fc958404c51958fa9439a0af1206b7faffc4f0ff0",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 def test_outputs_match_golden_digests(tmp_path):
     parts = run_all_commands(tmp_path, 0, "1").split("\x00")
     assert len(parts) == len(OUTPUTS)
+    assert {name: sha256(text) for name, text in zip(OUTPUTS, parts)} == GOLDEN
+
+
+def test_stock_corpus_matches_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--out-dir", "corpus", "--seed", "7"]) == 0
+    assert main(["features", "corpus/manifest.csv", "--out", "features.csv"]) == 0
+    manifest = read(tmp_path / "corpus" / "manifest.csv")
+    edges = "".join(
+        read(tmp_path / "corpus" / line.split(",")[0])
+        for line in manifest.splitlines()[1:]
+    )
     got = {
-        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
-        for name, text in zip(OUTPUTS, parts)
+        "manifest.csv": sha256(manifest),
+        "graphs/*.edges": sha256(edges),
+        "features.csv": sha256(read(tmp_path / "features.csv")),
     }
-    assert got == GOLDEN
+    assert got == STOCK_GOLDEN

@@ -191,6 +191,11 @@ class TestMatrixMarket:
         with pytest.raises(GraphParseError, match="non-square"):
             parse_matrix_market(self.HEADER + "3 4 0\n")
 
+    @pytest.mark.parametrize("dims", ["-2 -2 0", "2 2 -1"])
+    def test_negative_dimensions_rejected(self, dims):
+        with pytest.raises(GraphParseError, match="line 2: negative dimensions"):
+            parse_matrix_market(self.HEADER + dims + "\n")
+
     def test_entry_count_mismatch(self):
         with pytest.raises(GraphParseError, match="declared 3"):
             parse_matrix_market(self.HEADER + "3 3 3\n1 2\n")
