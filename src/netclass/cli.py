@@ -6,6 +6,11 @@ for the rest), 3 internal error.  All file outputs are written atomically
 (temp file + rename) and are byte-identical for a given seed.  Every
 command runs serially in one process; --workers is accepted and checked (it
 must be at least 1) but currently has no effect.
+
+This module only parses and merges settings.  Each setting's range is
+checked by the library step that uses it (the forest, the fold plan,
+k-means, t-SNE, the overlap report), which raises ValueError; main maps
+every ValueError to exit 1.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .forest import (
     forest_to_json,
     forest_train,
 )
-from .graph import GraphParseError, parse_edge_list, parse_matrix_market, write_edge_list
+from .graph import parse_edge_list, parse_matrix_market, write_edge_list
 from .kmeans import kmeans
 from .synth import default_corpus_specs, generate_corpus, parse_generator_spec
 from .tsne import tsne
@@ -49,10 +54,6 @@ EXIT_PARTIAL = 2
 EXIT_INTERNAL = 3
 
 SEED_ENV_VAR = "NETCLASS_SEED"
-
-
-class ValidationFailure(Exception):
-    """User-correctable problem; maps to exit code 1."""
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,7 @@ class RunConfig:
     overlap_threshold: float = 0.6
 
 
-_INT_KEYS = {
-    "seed", "workers", "trees", "features_per_split", "min_split", "folds",
-    "kmeans_k", "kmeans_restarts", "kmeans_max_iter", "tsne_iterations",
-}
-_FLOAT_KEYS = {"tsne_perplexity", "tsne_learning_rate", "overlap_threshold"}
+_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -93,21 +90,20 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValidationFailure(f"config line {lineno}: expected key=value")
+            raise ValueError(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _INT_KEYS and key not in _FLOAT_KEYS:
-            raise ValidationFailure(f"config line {lineno}: unknown key {key!r}")
+        kind = _CONFIG_TYPES.get(key)
+        if kind is None:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            if key == "features_per_split" and value.lower() == "none":
+            if "None" in kind and value.lower() == "none":
                 values[key] = None
-            elif key in _INT_KEYS:
-                values[key] = int(value)
             else:
-                values[key] = float(value)
+                values[key] = float(value) if kind == "float" else int(value)
         except ValueError:
-            raise ValidationFailure(
+            raise ValueError(
                 f"config line {lineno}: bad value {value!r} for {key}"
             ) from None
     return values
@@ -118,7 +114,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise ValidationFailure(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -128,7 +124,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             values["seed"] = int(env_seed)
         except ValueError:
-            raise ValidationFailure(
+            raise ValueError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
             ) from None
     config_path = getattr(args, "config", None)
@@ -139,27 +135,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[key] = flag
     cfg = RunConfig(**values)
-    positive = {
-        "workers": cfg.workers, "trees": cfg.trees,
-        "kmeans_k": cfg.kmeans_k, "kmeans_restarts": cfg.kmeans_restarts,
-        "kmeans_max_iter": cfg.kmeans_max_iter,
-        "tsne_iterations": cfg.tsne_iterations,
-    }
-    for name, value in positive.items():
-        if value < 1:
-            raise ValidationFailure(f"{name} must be at least 1, got {value}")
-    if cfg.min_split < 2:
-        raise ValidationFailure(f"min_split must be at least 2, got {cfg.min_split}")
-    if cfg.folds < 2:
-        raise ValidationFailure(f"folds must be at least 2, got {cfg.folds}")
-    if cfg.features_per_split is not None and cfg.features_per_split < 1:
-        raise ValidationFailure("features_per_split must be at least 1")
-    if not cfg.tsne_perplexity >= 1.0:
-        raise ValidationFailure("tsne_perplexity must be at least 1")
-    if not cfg.tsne_learning_rate > 0.0:
-        raise ValidationFailure("tsne_learning_rate must be positive")
-    if not 0.0 <= cfg.overlap_threshold <= 1.0:
-        raise ValidationFailure("overlap_threshold must be within [0, 1]")
+    # workers is the one setting no library step reads, so it is checked here.
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {cfg.workers}")
     return cfg
 
 
@@ -195,9 +173,9 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     try:
         header = next(reader)
     except StopIteration:
-        raise ValidationFailure(f"{path}: empty manifest") from None
+        raise ValueError(f"{path}: empty manifest") from None
     if header[:3] != ["path", "name", "category"]:
-        raise ValidationFailure(
+        raise ValueError(
             f"{path}: manifest header must start with path,name,category"
         )
     base = os.path.dirname(os.path.abspath(path))
@@ -207,18 +185,18 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
         if not row:
             continue
         if len(row) < 3:
-            raise ValidationFailure(f"{path} line {lineno}: expected 3+ columns")
+            raise ValueError(f"{path} line {lineno}: expected 3+ columns")
         graph_path, name, category = row[0], row[1], row[2]
         if not name:
-            raise ValidationFailure(f"{path} line {lineno}: empty graph name")
+            raise ValueError(f"{path} line {lineno}: empty graph name")
         if name in seen:
-            raise ValidationFailure(f"{path} line {lineno}: duplicate name {name!r}")
+            raise ValueError(f"{path} line {lineno}: duplicate name {name!r}")
         seen.add(name)
         if not os.path.isabs(graph_path):
             graph_path = os.path.join(base, graph_path)
         rows.append((graph_path, name, category))
     if not rows:
-        raise ValidationFailure(f"{path}: manifest lists no graphs")
+        raise ValueError(f"{path}: manifest lists no graphs")
     return rows
 
 
@@ -231,23 +209,24 @@ def _graph_features(path: str):
     try:
         graph, _ = load_graph(path)
         return extract_features(graph), None
-    except (ValidationFailure, GraphParseError, ValueError) as exc:
+    except ValueError as exc:
         return None, f"{path}: {exc}"
 
 
 def _read_feature_table(features_path: str, build):
     """Read a non-empty feature CSV and return build(names, categories, matrix).
 
-    A ValueError from the reader or from `build` becomes a ValidationFailure
-    naming the file.
+    A ValueError from the reader or from `build` is raised again naming the
+    file.
     """
+    text = _read_text(features_path)
     try:
-        names, categories, matrix = read_features_csv(io.StringIO(_read_text(features_path)))
+        names, categories, matrix = read_features_csv(io.StringIO(text))
         if not names:
             raise ValueError("feature CSV has no data rows")
         return build(names, categories, matrix)
     except ValueError as exc:
-        raise ValidationFailure(f"{features_path}: {exc}") from None
+        raise ValueError(f"{features_path}: {exc}") from None
 
 
 def _load_dataset(features_path: str) -> Dataset:
@@ -291,15 +270,16 @@ def cmd_features(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_generate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.specfile:
+        text = _read_text(args.specfile)
         try:
-            specs = parse_generator_spec(_read_text(args.specfile), cfg.seed)
+            specs = parse_generator_spec(text, cfg.seed)
         except ValueError as exc:
-            raise ValidationFailure(f"{args.specfile}: {exc}") from None
+            raise ValueError(f"{args.specfile}: {exc}") from None
     else:
         specs = default_corpus_specs(cfg.seed)
     entries = generate_corpus(specs)
     if not entries:
-        raise ValidationFailure("generator spec produces no graphs")
+        raise ValueError("generator spec produces no graphs")
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = io.StringIO()
     writer = csv.writer(manifest, lineterminator="\n")
@@ -333,7 +313,7 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         forest = forest_from_json(_read_text(args.model))
     except ModelFormatError as exc:
-        raise ValidationFailure(f"{args.model}: {exc}") from None
+        raise ValueError(f"{args.model}: {exc}") from None
     done, failures = [], []
     for path in args.graphs:
         fv, err = _graph_features(path)
@@ -384,16 +364,13 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
     names, categories, matrix = _standardized_matrix(args.features)
-    try:
-        embedding = tsne(
-            matrix,
-            perplexity=cfg.tsne_perplexity,
-            iterations=cfg.tsne_iterations,
-            learning_rate=cfg.tsne_learning_rate,
-            seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from None
+    embedding = tsne(
+        matrix,
+        perplexity=cfg.tsne_perplexity,
+        iterations=cfg.tsne_iterations,
+        learning_rate=cfg.tsne_learning_rate,
+        seed=cfg.seed,
+    )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["name", "category", "x", "y"])
@@ -412,26 +389,17 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig) -> int:
     names, categories, matrix = _standardized_matrix(args.features)
     labeled = [i for i, c in enumerate(categories) if c]
     if args.overlap_out and not labeled:
-        raise ValidationFailure("no labeled rows; cannot write overlap report")
-    try:
-        result = kmeans(
-            matrix,
-            cfg.kmeans_k,
-            max_iter=cfg.kmeans_max_iter,
-            restarts=cfg.kmeans_restarts,
-            seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from None
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "category", "cluster"])
-    for i, name in enumerate(names):
-        writer.writerow([name, categories[i], str(int(result.assignments[i]))])
-    atomic_write(args.out, out.getvalue())
-    print(f"clustered {len(names)} rows into {cfg.kmeans_k} groups "
-          f"(inertia {result.inertia:.6f}) -> {args.out}")
+        raise ValueError("no labeled rows; cannot write overlap report")
+    result = kmeans(
+        matrix,
+        cfg.kmeans_k,
+        max_iter=cfg.kmeans_max_iter,
+        restarts=cfg.kmeans_restarts,
+        seed=cfg.seed,
+    )
+    report = None
     if args.overlap_out:
+        # Built before any file is written, so a bad threshold writes nothing.
         label_names = tuple(sorted({categories[i] for i in labeled}))
         lookup = {c: j for j, c in enumerate(label_names)}
         report = cluster_category_overlap(
@@ -441,6 +409,15 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig) -> int:
             n_clusters=cfg.kmeans_k,
             threshold=cfg.overlap_threshold,
         )
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["name", "category", "cluster"])
+    for i, name in enumerate(names):
+        writer.writerow([name, categories[i], str(int(result.assignments[i]))])
+    atomic_write(args.out, out.getvalue())
+    print(f"clustered {len(names)} rows into {cfg.kmeans_k} groups "
+          f"(inertia {result.inertia:.6f}) -> {args.out}")
+    if report is not None:
         atomic_write(args.overlap_out, overlap_to_text(report))
         print(f"wrote cluster/category overlap -> {args.overlap_out}")
     return EXIT_OK
@@ -539,10 +516,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return args.func(args, cfg)
-    except ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (GraphParseError, ModelFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - last-resort boundary

@@ -178,6 +178,8 @@ def cluster_category_overlap(
     n_clusters: "int | None" = None,
     threshold: float = 0.6,
 ) -> OverlapReport:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"overlap threshold must be within [0, 1], got {threshold:g}")
     a = np.asarray(assignments, dtype=np.int64)
     y = np.asarray(labels, dtype=np.int64)
     if a.shape != y.shape or a.ndim != 1 or len(a) == 0:

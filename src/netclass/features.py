@@ -90,12 +90,10 @@ def triangle_counts(g: Graph) -> tuple[list[int], int]:
     return counts, total
 
 
-def avg_local_clustering(g: Graph, counts: "list[int] | None" = None) -> float:
+def avg_local_clustering(g: Graph, counts: list[int]) -> float:
     """Mean local clustering coefficient; degree < 2 nodes contribute 0."""
     if g.node_count == 0:
         return 0.0
-    if counts is None:
-        counts, _ = triangle_counts(g)
     acc = 0.0
     for v, tri in enumerate(counts):
         d = len(g.adjacency[v])
@@ -155,7 +153,7 @@ def assortativity(g: Graph) -> float:
     return float(cov / var)
 
 
-def clique_lower_bound(g: Graph, decomp: "CoreDecomposition | None" = None) -> int:
+def clique_lower_bound(g: Graph, decomp: CoreDecomposition) -> int:
     """Size of a greedily grown clique; a lower bound on the maximum clique.
 
     Walks nodes in reverse peel order and extends each candidate clique
@@ -163,8 +161,6 @@ def clique_lower_bound(g: Graph, decomp: "CoreDecomposition | None" = None) -> i
     """
     if g.node_count == 0:
         return 0
-    if decomp is None:
-        decomp = core_decomposition(g)
     order = decomp.peel_order
     pos = [0] * g.node_count
     for i, v in enumerate(order):
@@ -185,15 +181,13 @@ def clique_lower_bound(g: Graph, decomp: "CoreDecomposition | None" = None) -> i
     return best
 
 
-def greedy_chromatic(g: Graph, decomp: "CoreDecomposition | None" = None) -> int:
+def greedy_chromatic(g: Graph, decomp: CoreDecomposition) -> int:
     """Colors used by greedy coloring in smallest-last order.
 
     Upper-bounds the chromatic number and never exceeds max core + 1.
     """
     if g.node_count == 0:
         return 0
-    if decomp is None:
-        decomp = core_decomposition(g)
     order = decomp.peel_order
     color = [-1] * g.node_count
     used = 0

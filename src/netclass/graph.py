@@ -8,7 +8,7 @@ Graph is immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 
@@ -26,13 +26,7 @@ class Graph:
 
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
-    edge_count: int = field(default=-1)
-
-    def __post_init__(self):
-        if self.edge_count < 0:
-            object.__setattr__(
-                self, "edge_count", sum(len(a) for a in self.adjacency) // 2
-            )
+    edge_count: int
 
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency]

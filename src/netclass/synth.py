@@ -27,16 +27,13 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    total = n * (n - 1) // 2
     rng = make_rng(seed)
-    hits = np.nonzero(rng.random(total) < p)[0]
-    # row i of the (i, j) enumeration starts at i*n - i*(i+1)/2
-    starts = np.arange(n, dtype=np.int64) * n - (
-        np.arange(n, dtype=np.int64) * (np.arange(n, dtype=np.int64) + 1)
-    ) // 2
-    rows = np.searchsorted(starts, hits, side="right") - 1
-    cols = hits - starts[rows] + rows + 1
-    edges = {(int(i), int(j)) for i, j in zip(rows, cols)}
+    edges = set()
+    # One draw per pair (i, j), i < j, in row-major order, one row at a time,
+    # so memory stays O(n + m).
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+        edges.update((i, j) for j in hits.tolist())
     return _build_graph(n, edges)
 
 

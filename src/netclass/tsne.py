@@ -129,6 +129,8 @@ def tsne(
         )
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    if not learning_rate > 0.0:
+        raise ValueError(f"learning rate must be positive, got {learning_rate:g}")
     p = joint_affinities(_pairwise_sq_dists(x), perplexity)
     rng = make_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))

@@ -81,6 +81,56 @@ class TestArgParsing:
         assert "workers" in capsys.readouterr().err
 
 
+# Each setting is range-checked by the library step that uses it, not by the
+# CLI (only --workers is checked there).  Every output goes under work/, so an
+# empty work/ afterwards means the command wrote nothing.  The fixture table
+# has 12 rows, so embed cases that test another setting pass --perplexity 2.
+OUT_FLAGS = {
+    "train": ["--model-out", "work/m.json"],
+    "evaluate": ["--out-dir", "work/reports"],
+    "embed": ["--out", "work/e.csv"],
+    "cluster": ["--out", "work/c.csv"],
+}
+BAD_SETTINGS = [
+    *[(command, flags, message)
+      for command in ("train", "evaluate")
+      for flags, message in [
+          (["--trees", "0"], "need at least one tree"),
+          (["--min-split", "1"], "min_split must be at least 2"),
+          (["--features-per-split", "0"], "features_per_split 0 outside"),
+          (["--features-per-split", "99"], "features_per_split 99 outside"),
+      ]],
+    ("evaluate", ["--folds", "1"], "need at least 2 folds"),
+    ("cluster", ["--k", "0"], "k must be in"),
+    ("cluster", ["--restarts", "0"], "restarts must be positive"),
+    ("cluster", ["--max-iter", "0"], "max_iter and restarts must be positive"),
+    ("embed", ["--perplexity", "2", "--iterations", "0"], "iterations must be positive"),
+    ("embed", ["--perplexity", "0.5"], "perplexity must be in"),
+    ("embed", ["--perplexity", "nan"], "perplexity must be in"),
+    ("embed", ["--perplexity", "2", "--learning-rate", "0"], "learning rate must be positive"),
+    ("embed", ["--perplexity", "2", "--learning-rate", "nan"], "learning rate must be positive"),
+    ("cluster", ["--k", "2", "--overlap-threshold", "1.5", "--overlap-out", "work/o.txt"],
+     "overlap threshold must be within"),
+    ("cluster", ["--k", "2", "--overlap-threshold", "nan", "--overlap-out", "work/o.txt"],
+     "overlap threshold must be within"),
+    ("train", ["--workers", "0"], "workers must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("command,flags,message", BAD_SETTINGS)
+def test_out_of_range_setting_exits_1_and_writes_nothing(
+    command, flags, message, tmp_path, corpus, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "work").mkdir()
+    code = main([command, str(corpus["features"])] + OUT_FLAGS[command] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert list((tmp_path / "work").iterdir()) == []
+
+
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, corpus, capsys):
         cfg = tmp_path / "run.cfg"
@@ -113,6 +163,16 @@ class TestConfigFile:
                      "--model-out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert code == 0
         assert "trained 7 trees" in capsys.readouterr().out
+
+    def test_unused_setting_not_checked(self, tmp_path):
+        # generate grows no forest, so an out-of-range trees does not stop it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trees = 0\n", encoding="utf-8")
+        spec = tmp_path / "seedless.ini"
+        spec.write_text(SPEC_SEEDLESS, encoding="utf-8")
+        code = main(["generate", str(spec), "--out-dir", str(tmp_path / "g"),
+                     "--config", str(cfg)])
+        assert code == 0
 
     def test_bad_env_seed(self, monkeypatch, corpus, capsys):
         monkeypatch.setenv(SEED_ENV_VAR, "lots")

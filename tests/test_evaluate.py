@@ -226,6 +226,13 @@ class TestOverlap:
         with pytest.raises(ValueError, match="equal-length"):
             cluster_category_overlap(np.array([0]), np.array([0, 1]), ("a", "b"))
 
+    @pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
+    def test_bad_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            cluster_category_overlap(
+                np.array([0, 1]), np.array([0, 1]), ("a", "b"), threshold=threshold
+            )
+
 
 class TestMisclassCsv:
     def test_golden_output(self):

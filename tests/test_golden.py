@@ -8,7 +8,7 @@ import hashlib
 
 from test_acceptance import read, run_all_commands
 
-from netclass.cli import main
+from netclass.cli import SEED_ENV_VAR, main
 
 OUTPUTS = (
     "manifest.csv", "graphs/*.edges", "features.csv", "model.json", "pred.csv",
@@ -30,11 +30,19 @@ GOLDEN = {
     "overlap.txt": "60c76bf1e05e34160122757413c3b5448abfe50851d893362e881f69262949d4",
 }
 
-# The stock 125-graph corpus (no spec file), seed 7, and its features.
+# The stock 125-graph corpus (no spec file), seed 7, and every output of the
+# README quick start run on it.
 STOCK_GOLDEN = {
     "manifest.csv": "7d3963a14a391628c970b9c18e3f1ef991a1534d4ddb506fb0016534ff1e9e03",
     "graphs/*.edges": "93a5284a33dc06f7c62ffb2d72dfbd021431217c94920ea7579fece0263ab518",
     "features.csv": "1a61aed90ceb047db8f6059fc958404c51958fa9439a0af1206b7faffc4f0ff0",
+    "model.json": "bab07fba26cefefb94e57762fd9bb2c4ab084e886892909afbbb0f5e543232ad",
+    "reports/confusion.csv": "def18a0cdbf48ccfc5051605298c0a68d26a28ddd822924b49f596220f580db1",
+    "reports/confusion.txt": "0974612911ab91d6789b907526be39ebfc9548895090b5bbda90de8b2dde2195",
+    "reports/misclassified.csv": "319dea07dd0028473bdb0485043de1f4928c92d6290d7c4b71f212cf65b63982",
+    "embed.csv": "ea495095bbd81343e659b8ab77b68567e36edd46d10716c8495696a64d5ae2e7",
+    "clusters.csv": "466960645998911708d163d93ef18c0a7043ebc9d50c6c93d094494e46c0df20",
+    "overlap.txt": "51374520678fb34f47266d6f84ef3849ec1da2693c334dc157c258cc29251503",
 }
 
 
@@ -50,8 +58,14 @@ def test_outputs_match_golden_digests(tmp_path):
 
 def test_stock_corpus_matches_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert main(["generate", "--out-dir", "corpus", "--seed", "7"]) == 0
     assert main(["features", "corpus/manifest.csv", "--out", "features.csv"]) == 0
+    assert main(["train", "features.csv", "--model-out", "model.json"]) == 0
+    assert main(["evaluate", "features.csv", "--folds", "5", "--out-dir", "reports"]) == 0
+    assert main(["embed", "features.csv", "--out", "embed.csv", "--perplexity", "20"]) == 0
+    assert main(["cluster", "features.csv", "--out", "clusters.csv", "--k", "4",
+                 "--overlap-out", "overlap.txt"]) == 0
     manifest = read(tmp_path / "corpus" / "manifest.csv")
     edges = "".join(
         read(tmp_path / "corpus" / line.split(",")[0])
@@ -60,6 +74,7 @@ def test_stock_corpus_matches_golden_digests(tmp_path, monkeypatch):
     got = {
         "manifest.csv": sha256(manifest),
         "graphs/*.edges": sha256(edges),
-        "features.csv": sha256(read(tmp_path / "features.csv")),
     }
+    for name in list(STOCK_GOLDEN)[2:]:
+        got[name] = sha256(read(tmp_path / name))
     assert got == STOCK_GOLDEN

@@ -1,5 +1,7 @@
 """Synthetic graph generators and corpus assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ class TestErdosRenyi:
     def test_negative_n(self):
         with pytest.raises(ValueError, match="non-negative"):
             erdos_renyi(-1, 0.5, seed=0)
+
+    def test_memory_linear_in_nodes_and_edges(self):
+        # One uniform draw per pair held at once would be C(5000, 2) doubles,
+        # about 95 MiB; the graph itself (about 25k edges) needs a few MiB.
+        tracemalloc.start()
+        try:
+            erdos_renyi(5000, 10 / 4999, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestBarabasiAlbert:

@@ -123,3 +123,9 @@ class TestValidation:
         x = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(ValueError, match="iterations"):
             tsne(x, perplexity=2.0, iterations=0, seed=0)
+
+    @pytest.mark.parametrize("rate", [0.0, float("nan")])
+    def test_bad_learning_rate(self, rate):
+        x = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            tsne(x, perplexity=2.0, iterations=10, learning_rate=rate, seed=0)
