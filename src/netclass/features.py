@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _compress
 
 
 @dataclass(frozen=True)
@@ -52,83 +52,134 @@ CSV_HEADER = "name,category," + ",".join(FEATURE_NAMES)
 
 @dataclass(frozen=True)
 class CoreDecomposition:
-    """Core number per node plus the peel (degeneracy) order that produced it."""
+    """Core numbers, the peel (degeneracy) order and its orientation.
 
-    core_numbers: tuple[int, ...]
-    peel_order: tuple[int, ...]
+    Node peel_order[i] is the i-th node removed.  The graph oriented along
+    that order is held in compressed rows over peel positions:
+    later[later_ptr[i]:later_ptr[i + 1]] are the positions j > i of the
+    neighbors of peel_order[i], ascending.
+    """
+
+    core_numbers: np.ndarray
+    peel_order: np.ndarray
+    later_ptr: np.ndarray
+    later: np.ndarray
 
     @property
     def max_core(self) -> int:
-        return max(self.core_numbers, default=0)
+        return int(self.core_numbers.max(initial=0))
 
 
-def triangle_counts(g: Graph) -> tuple[list[int], int]:
+def _oriented(g: Graph, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge once, from its end of lower to its end of higher `pos` (a
+    permutation): sorted keys lo * n + hi over positions, and their rows
+    (row pointers, targets)."""
+    n = g.node_count
+    u, v = g.edge_arrays()
+    pu, pv = pos[u], pos[v]
+    keys = np.sort(np.minimum(pu, pv) * n + np.maximum(pu, pv))
+    return (keys, *_compress(keys, n))
+
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    return pos
+
+
+def _has_keys(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which queries occur in the sorted, non-empty array keys."""
+    return keys[np.minimum(np.searchsorted(keys, queries), len(keys) - 1)] == queries
+
+
+_WEDGE_CHUNK = 1 << 18  # wedges tested per numpy batch in triangle_counts
+
+
+def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
     """Per-node triangle participation counts and the total triangle count.
 
-    Counts each triangle once at its lowest-ranked corner (rank = (degree,
-    id)), intersecting the later-ranked neighbor sets of the edge endpoints.
+    Orients every edge from its lower- to its higher-ranked end (rank =
+    (degree, id)), so each triangle is the closed wedge at exactly one
+    corner.  The wedges at a node are the pairs of its out-neighbors; they
+    are tested in batches against the sorted oriented edge keys.
     """
     n = g.node_count
-    adj = g.adjacency
-    rank = sorted(range(n), key=lambda v: (len(adj[v]), v))
-    pos = [0] * n
-    for i, v in enumerate(rank):
-        pos[v] = i
-    later = [frozenset(u for u in adj[v] if pos[u] > pos[v]) for v in range(n)]
-    counts = [0] * n
-    total = 0
-    for u in range(n):
-        lu = later[u]
-        for v in lu:
-            lv = later[v]
-            common = lu & lv if len(lu) <= len(lv) else lv & lu
-            for w in common:
-                counts[u] += 1
-                counts[v] += 1
-                counts[w] += 1
-            total += len(common)
-    return counts, total
+    rank = _positions(np.argsort(g.degrees(), kind="stable"))
+    keys, ptr, dst = _oriented(g, rank)
+    m = len(dst)
+    # Entry e pairs with the entries after it in its row.
+    partners = np.repeat(ptr[1:], np.diff(ptr)) - np.arange(m) - 1
+    bounds = np.searchsorted(np.cumsum(partners), np.arange(0, partners.sum(), _WEDGE_CHUNK),
+                             side="right")
+    corners = [np.zeros(0, dtype=np.int64)]
+    for lo, hi in zip(bounds, np.append(bounds[1:], m)):
+        c = partners[lo:hi]
+        first = np.repeat(np.arange(lo, hi), c)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
+        closed = _has_keys(keys, dst[first] * n + dst[second])
+        corners += [keys[first[closed]] // n, dst[first[closed]], dst[second[closed]]]
+    by_rank = np.bincount(np.concatenate(corners), minlength=n)
+    return by_rank[rank], int(by_rank.sum()) // 3
 
 
-def avg_local_clustering(g: Graph, counts: list[int]) -> float:
+def avg_local_clustering(g: Graph, counts: np.ndarray) -> float:
     """Mean local clustering coefficient; degree < 2 nodes contribute 0."""
     if g.node_count == 0:
         return 0.0
-    acc = 0.0
-    for v, tri in enumerate(counts):
-        d = len(g.adjacency[v])
-        if d >= 2:
-            acc += 2.0 * tri / (d * (d - 1))
+    deg = g.degrees()
+    wedged = deg >= 2
+    d = deg[wedged]
+    terms = 2.0 * counts[wedged] / (d * (d - 1))
+    # cumsum adds in node order, one term at a time, as a Python loop would.
+    acc = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
     return acc / g.node_count
 
 
 def core_decomposition(g: Graph) -> CoreDecomposition:
     """Exact core numbers via min-degree peeling (ties by ascending id).
 
-    A node's core number is the running maximum of the degree it had when
-    removed, which equals the largest k whose k-core contains it.
+    Each step removes the node with the least (current degree, id).  A
+    node's core number is the running maximum of the degree it had when
+    removed, which equals the largest k whose k-core contains it.  Bucket d
+    is a heap of the ids whose degree became d; an entry is stale once that
+    node's degree drops further.
     """
     n = g.node_count
-    deg = g.degrees()
+    degrees = g.degrees()
+    ptr = memoryview(g.indptr)  # int views without a Python int per entry
+    nbrs = memoryview(g.indices)
+    deg = degrees.tolist()
+    by_degree = np.argsort(degrees, kind="stable")
+    cuts = np.cumsum(np.bincount(degrees, minlength=1))[:-1]
+    buckets = [b.tolist() for b in np.split(by_degree, cuts)]  # sorted, so heaps
+    heappop, heappush = heapq.heappop, heapq.heappush
     core = [0] * n
-    removed = [False] * n
-    heap = [(deg[v], v) for v in range(n)]
-    heapq.heapify(heap)
     order = []
-    threshold = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
+    threshold = d = 0
+    while len(order) < n:
+        bucket = buckets[d]
+        if not bucket:
+            d += 1
             continue
-        removed[v] = True
-        threshold = max(threshold, d)
+        v = heappop(bucket)
+        if deg[v] != d:
+            continue
+        deg[v] = -1  # removed; no entry matches it again
+        if d > threshold:
+            threshold = d
         core[v] = threshold
         order.append(v)
-        for u in g.adjacency[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    return CoreDecomposition(tuple(core), tuple(order))
+        for u in nbrs[ptr[v]:ptr[v + 1]]:
+            du = deg[u] - 1
+            if du >= 0:
+                deg[u] = du
+                heappush(buckets[du], u)
+        if d:
+            d -= 1  # every neighbor had degree >= d
+    del buckets, deg  # the stale heap entries
+    peel = np.array(order, dtype=np.int64)
+    _, later_ptr, later = _oriented(g, _positions(peel))
+    return CoreDecomposition(np.array(core, dtype=np.int64), peel, later_ptr, later)
 
 
 def assortativity(g: Graph) -> float:
@@ -139,11 +190,8 @@ def assortativity(g: Graph) -> float:
     """
     if g.edge_count == 0:
         return 0.0
-    deg = np.array(g.degrees(), dtype=np.float64)
-    us, vs = [], []
-    for u, v in g.edges():
-        us.append(u)
-        vs.append(v)
+    deg = g.degrees().astype(np.float64)
+    us, vs = g.edge_arrays()
     x = np.concatenate([deg[us], deg[vs]])
     y = np.concatenate([deg[vs], deg[us]])
     var = np.mean(x * x) - np.mean(x) ** 2
@@ -157,47 +205,60 @@ def clique_lower_bound(g: Graph, decomp: CoreDecomposition) -> int:
     """Size of a greedily grown clique; a lower bound on the maximum clique.
 
     Walks nodes in reverse peel order and extends each candidate clique
-    through the node's later-peeled neighbors in peel-order sequence.
+    through the node's later-peeled neighbors in peel-order sequence, and
+    returns the largest clique found.  Each node's clique depends only on
+    its own later neighbors, so all of them grow at once: step s offers
+    every node its s-th later neighbor, which joins when each member taken
+    so far has it as a later neighbor.
     """
-    if g.node_count == 0:
+    n = g.node_count
+    if n == 0:
         return 0
-    order = decomp.peel_order
-    pos = [0] * g.node_count
-    for i, v in enumerate(order):
-        pos[v] = i
-    neighbor_sets = [frozenset(a) for a in g.adjacency]
+    ptr, later = decomp.later_ptr, decomp.later
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) * n + later  # sorted
+    rows = np.flatnonzero(np.diff(ptr))  # peel positions with a later neighbor
+    size = np.ones(len(rows), dtype=np.int64)
+    taken = []  # taken[s][r]: the neighbor row r took at step s, or -1
     best = 1
-    for v in reversed(order):
-        later = sorted((u for u in g.adjacency[v] if pos[u] > pos[v]),
-                       key=lambda u: pos[u])
-        if len(later) + 1 <= best:
-            continue
-        clique = [v]
-        for u in later:
-            nu = neighbor_sets[u]
-            if all(w in nu for w in clique):
-                clique.append(u)
-        best = max(best, len(clique))
+    step = 0
+    while len(rows):
+        candidate = later[ptr[rows] + step]
+        joins = np.ones(len(rows), dtype=bool)
+        for member in taken:
+            check = joins & (member >= 0)
+            joins[check] = _has_keys(keys, member[check] * n + candidate[check])
+        taken.append(np.where(joins, candidate, -1))
+        size += joins
+        best = max(best, int(size.max()))
+        step += 1
+        more = ptr[rows + 1] - ptr[rows] > step
+        rows, size = rows[more], size[more]
+        taken = [t[more] for t in taken]
     return best
 
 
 def greedy_chromatic(g: Graph, decomp: CoreDecomposition) -> int:
     """Colors used by greedy coloring in smallest-last order.
 
-    Upper-bounds the chromatic number and never exceeds max core + 1.
+    Upper-bounds the chromatic number and never exceeds max core + 1.  In
+    reverse peel order the neighbors already colored are the later ones.
     """
-    if g.node_count == 0:
+    n = g.node_count
+    if n == 0:
         return 0
-    order = decomp.peel_order
-    color = [-1] * g.node_count
+    ptr = memoryview(decomp.later_ptr)
+    later = memoryview(decomp.later)
+    color = [0] * n  # by peel position
+    color_of = color.__getitem__
     used = 0
-    for v in reversed(order):
-        taken = {color[u] for u in g.adjacency[v] if color[u] >= 0}
+    for i in range(n - 1, -1, -1):
+        taken = set(map(color_of, later[ptr[i]:ptr[i + 1]]))
         c = 0
         while c in taken:
             c += 1
-        color[v] = c
-        used = max(used, c + 1)
+        color[i] = c
+        if c >= used:
+            used = c + 1
     return used
 
 
@@ -210,18 +271,18 @@ def extract_features(g: Graph) -> FeatureVector:
     deg = g.degrees()
     counts, total = triangle_counts(g)
     decomp = core_decomposition(g)
-    wedges = sum(d * (d - 1) // 2 for d in deg)
+    wedges = int((deg * (deg - 1) // 2).sum())
     return FeatureVector(
         nodes=n,
         edges=m,
         density=2.0 * m / (n * (n - 1)) if n >= 2 else 0.0,
-        max_degree=max(deg),
-        min_degree=min(deg),
+        max_degree=int(deg.max()),
+        min_degree=int(deg.min()),
         avg_degree=2.0 * m / n,
         assortativity=assortativity(g),
         total_triangles=total,
         avg_triangles=3.0 * total / n,
-        max_triangles=max(counts),
+        max_triangles=int(counts.max()),
         avg_clustering_coeff=avg_local_clustering(g, counts),
         frac_closed_triangles=3.0 * total / wedges if wedges else 0.0,
         max_kcore=decomp.max_core,

@@ -28,13 +28,11 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     rng = make_rng(seed)
-    edges = set()
     # One draw per pair (i, j), i < j, in row-major order, one row at a time,
-    # so memory stays O(n + m).
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
-        edges.update((i, j) for j in hits.tolist())
-    return _build_graph(n, edges)
+    # so memory stays O(n + m).  rows[i] holds row i's partners j > i.
+    rows = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
+    u = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    return _build_graph(n, u, np.concatenate(rows) if rows else u)
 
 
 def barabasi_albert(n: int, m: int, seed: int) -> Graph:
@@ -48,7 +46,8 @@ def barabasi_albert(n: int, m: int, seed: int) -> Graph:
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = make_rng(seed)
-    edges = {(i, j) for i in range(m) for j in range(i + 1, m)}
+    us, vs = np.triu_indices(m, 1)
+    us, vs = us.tolist(), vs.tolist()
     deg = np.zeros(n, dtype=np.int64)
     deg[:m] = m - 1
     for t in range(m, n):
@@ -62,11 +61,12 @@ def barabasi_albert(n: int, m: int, seed: int) -> Graph:
             else:
                 target = int(rng.integers(t))
             chosen.add(target)
-        for target in chosen:
-            edges.add((target, t))
-            deg[target] += 1
+        targets = list(chosen)
+        deg[targets] += 1
+        us += targets
+        vs += [t] * m
         deg[t] = m
-    return _build_graph(n, edges)
+    return _build_graph(n, us, vs)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
 ENTROPY_TOL_BITS = 1e-5
 _EPS = 1e-12
+_DIVERGED = "optimization diverged; lower the learning rate"
 
 
 @dataclass(frozen=True)
@@ -137,17 +138,23 @@ def tsne(
     velocity = np.zeros_like(y)
     trace = []
     kl = float("nan")
-    for it in range(1, iterations + 1):
-        exaggerated = it <= EXAGGERATION_ITERS
-        p_eff = p * EXAGGERATION if exaggerated else p
-        _, grad = kl_and_grad(p_eff, y)
-        momentum = 0.5 if exaggerated else 0.8
-        velocity = momentum * velocity - learning_rate * grad
-        y = y + velocity
-        y = y - y.mean(axis=0)
-        if it % 50 == 0 or it == EXAGGERATION_ITERS or it == iterations:
-            kl, _ = kl_and_grad(p, y)
-            trace.append((it, kl))
+    # A step too large for float64 overflows; that ends the run with one
+    # error instead of numpy warnings and non-finite points.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for it in range(1, iterations + 1):
+                exaggerated = it <= EXAGGERATION_ITERS
+                p_eff = p * EXAGGERATION if exaggerated else p
+                _, grad = kl_and_grad(p_eff, y)
+                momentum = 0.5 if exaggerated else 0.8
+                velocity = momentum * velocity - learning_rate * grad
+                y = y + velocity
+                y = y - y.mean(axis=0)
+                if it % 50 == 0 or it == EXAGGERATION_ITERS or it == iterations:
+                    kl, _ = kl_and_grad(p, y)
+                    trace.append((it, kl))
+    except FloatingPointError:
+        raise ValueError(_DIVERGED) from None
     if not np.isfinite(y).all() or not np.isfinite(kl):
-        raise ValueError("optimization diverged; lower the learning rate")
+        raise ValueError(_DIVERGED)
     return Embedding(points=y, kl=kl, kl_trace=tuple(trace))

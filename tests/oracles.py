@@ -5,6 +5,7 @@ graphs (n <= ~35), so exponential algorithms are fine.  None of it shares
 code with the package under test.
 """
 
+import heapq
 from itertools import combinations
 
 import numpy as np
@@ -155,3 +156,59 @@ def chromatic_number(n, edges):
         if feasible(k, 0):
             return k
     return n
+
+
+def peel(n, edges):
+    """Core numbers and peel order by min-(degree, id) peeling.
+
+    The reference for features.core_decomposition: a heap of (current
+    degree, id) pairs with stale entries skipped on pop.
+    """
+    adj = adjacency(n, edges)
+    deg = [len(adj[v]) for v in range(n)]
+    core = [0] * n
+    removed = [False] * n
+    heap = [(deg[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    order = []
+    threshold = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        threshold = max(threshold, d)
+        core[v] = threshold
+        order.append(v)
+        for u in sorted(adj[v]):
+            if not removed[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    return core, order
+
+
+def greedy_clique(n, edges, order):
+    """Largest clique grown greedily from each node in reverse peel order
+    through its later-peeled neighbors, taken in peel order."""
+    if n == 0:
+        return 0
+    adj = adjacency(n, edges)
+    pos = {v: i for i, v in enumerate(order)}
+    best = 1
+    for v in reversed(order):
+        clique = [v]
+        for u in sorted((u for u in adj[v] if pos[u] > pos[v]), key=pos.get):
+            if all(w in adj[u] for w in clique):
+                clique.append(u)
+        best = max(best, len(clique))
+    return best
+
+
+def greedy_coloring(n, edges, order):
+    """Colors used by first-fit coloring in reverse peel order."""
+    adj = adjacency(n, edges)
+    color = {}
+    for v in reversed(order):
+        taken = {color[u] for u in adj[v] if u in color}
+        color[v] = min(c for c in range(len(taken) + 1) if c not in taken)
+    return len(set(color.values()))

@@ -65,7 +65,7 @@ def corpus_dataset(master: int) -> Dataset:
 
 def random_graph(rng, n, p):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return _build_graph(n, set(pairs))
+    return _build_graph(n, [u for u, _ in pairs], [v for _, v in pairs])
 
 
 def check_against_oracles(graph) -> None:

@@ -114,6 +114,9 @@ BAD_SETTINGS = [
     ("cluster", ["--k", "2", "--overlap-threshold", "nan", "--overlap-out", "work/o.txt"],
      "overlap threshold must be within"),
     ("train", ["--workers", "0"], "workers must be at least 1"),
+    # A run that diverges stops with one error and writes nothing.
+    *[("embed", ["--perplexity", "2", "--iterations", "60", "--learning-rate", rate],
+       "optimization diverged") for rate in ("1e300", "inf")],
 ]
 
 

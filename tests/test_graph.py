@@ -1,16 +1,19 @@
 """Parsing, canonicalization, and serialization of graphs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from netclass import (
     GraphParseError,
+    extract_features,
     from_edges,
     parse_edge_list,
     parse_matrix_market,
     write_edge_list,
 )
-from netclass.graph import relabel
+from netclass.graph import _int_tokens, _parse_mm_integer_body, relabel
 
 
 class TestEdgeListParsing:
@@ -81,12 +84,21 @@ class TestGraphInvariants:
                 (int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(k)
             ]
             g, _ = from_edges(pairs)
-            for u, nbrs in enumerate(g.adjacency):
-                assert list(nbrs) == sorted(set(nbrs))
+            assert g.indptr.dtype == g.indices.dtype == np.int64
+            assert len(g.indptr) == g.node_count + 1 and g.indptr[0] == 0
+            for u in range(g.node_count):
+                nbrs = g.neighbors(u).tolist()
+                assert nbrs == sorted(set(nbrs))
                 assert u not in nbrs
                 for v in nbrs:
-                    assert u in g.adjacency[v]
-            assert g.edge_count == sum(len(a) for a in g.adjacency) // 2
+                    assert u in g.neighbors(v)
+            assert g.edge_count == len(g.indices) // 2
+
+    def test_arrays_read_only(self):
+        g, _ = from_edges([(0, 1), (1, 2)])
+        for array in (g.indptr, g.indices):
+            with pytest.raises(ValueError):
+                array[0] = 5
 
     def test_edges_sorted_with_u_less_than_v(self):
         g, _ = from_edges([(3, 1), (2, 0), (1, 0)])
@@ -98,7 +110,8 @@ class TestGraphInvariants:
         g, _ = from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         mapping = [2, 0, 3, 1]
         inverse = [mapping.index(i) for i in range(4)]
-        assert relabel(relabel(g, mapping), inverse).adjacency == g.adjacency
+        assert relabel(relabel(g, mapping), inverse) == g
+        assert relabel(g, mapping) != g
 
     def test_relabel_rejects_non_permutation(self):
         g, _ = from_edges([(0, 1)])
@@ -129,7 +142,7 @@ class TestEdgeListRoundTrip:
                 tuple(sorted((m2.to_compact[u], m2.to_compact[v])))
                 for u, v in g.edges()
             }
-            assert g2.node_count == g.node_count - g.degrees().count(0)
+            assert g2.node_count == g.node_count - int((g.degrees() == 0).sum())
             assert relocated == set(g2.edges())
 
 
@@ -141,7 +154,7 @@ class TestMatrixMarket:
         g, m = parse_matrix_market(text)
         assert g.node_count == 5
         assert g.edge_count == 3
-        assert g.degrees() == [2, 2, 2, 0, 0]
+        assert g.degrees().tolist() == [2, 2, 2, 0, 0]
         assert m.to_compact == {i: i - 1 for i in range(1, 6)}
 
     def test_general_real_symmetrizes(self):
@@ -207,3 +220,101 @@ class TestMatrixMarket:
     def test_wrong_token_count_for_field(self):
         with pytest.raises(GraphParseError, match="expected 2 tokens"):
             parse_matrix_market(self.HEADER + "3 3 1\n1 2 0.5\n")
+
+
+def assert_same_parse(a, b):
+    (ga, ma), (gb, mb) = a, b
+    assert ga.node_count == gb.node_count and ga.edge_count == gb.edge_count
+    np.testing.assert_array_equal(ga.indptr, gb.indptr)
+    np.testing.assert_array_equal(ga.indices, gb.indices)
+    assert list(ma.to_compact.items()) == list(mb.to_compact.items())
+
+
+class TestParsePaths:
+    """The numpy path and the line-by-line path give the same graph and
+    label map; a leading comment line sends any text down the second."""
+
+    FORCE = "# comment: not a digit-only line\n"
+    FAST = [
+        "1 2\n2 3\n3 1\n",
+        "007 8\n8 7\n7 0009\n",  # leading zeros: 007 and 7 are one label
+        "4 4\n1 2\n2 4\n",  # 4 is numbered where it first appears off a loop
+        "5 5\n1 2\n",  # 5 appears only in a self-loop: not a node
+        "7 7\n",  # only self-loops: the empty graph
+        "3 1\n1 3\n3 1\n2 2",  # duplicates, and no final newline
+        "9223372036854775806 0\n",
+    ]
+    GENERAL = [
+        "1\t2\n2\t3\n",
+        "1 2 5\n2 3 7\n",
+        "-1 2\n2 -3\n",
+        " 1 2\n", "1  2\n", "1 2 \n", "1 2\r\n2 3\r\n", "\n1 2\n",
+        "99999999999999999999 1\n",  # beyond int64
+        "9223372036854775807 1\n",  # int64 max, where np.fromstring saturates
+        "alice 2\n2 3\n",
+    ]
+
+    @pytest.mark.parametrize("text", FAST)
+    def test_fast_inputs_take_the_numpy_path(self, text):
+        assert _int_tokens(text, 2) is not None
+        assert _int_tokens(self.FORCE + text, 2) is None
+
+    @pytest.mark.parametrize("text", GENERAL)
+    def test_other_inputs_take_the_line_path(self, text):
+        assert _int_tokens(text, 2) is None
+
+    @pytest.mark.parametrize("text", FAST + GENERAL)
+    def test_paths_agree(self, text):
+        assert_same_parse(parse_edge_list(text), parse_edge_list(self.FORCE + text))
+
+    def test_paths_agree_on_random_lists(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            lines = [
+                "0" * int(rng.integers(0, 2)) + str(int(a)) + " " + str(int(b))
+                for a, b in rng.integers(0, 30, size=(int(rng.integers(1, 40)), 2))
+            ]
+            text = "\n".join(lines) + "\n" * int(rng.integers(0, 2))
+            assert _int_tokens(text, 2) is not None
+            assert_same_parse(parse_edge_list(text), parse_edge_list(self.FORCE + text))
+
+    HEAD = "%%MatrixMarket matrix coordinate {} {}\n"
+    MM_FAST = [  # (banner, comments and dimensions; entries)
+        (HEAD.format("pattern", "symmetric") + "5 5 3\n", "1 2\n2 3\n3 1\n"),
+        (HEAD.format("pattern", "general") + "% note\n4 4 4\n", "1 2\n2 1\n3 3\n4 2"),
+        (HEAD.format("integer", "general") + "3 3 2\n", "1 2 7\n3 2 0\n"),
+        (HEAD.format("pattern", "symmetric") + "4 4 0\n", ""),
+    ]
+
+    @pytest.mark.parametrize("head,entries", MM_FAST)
+    def test_matrix_market_paths_agree(self, head, entries):
+        general = head + "% comment among the entries\n" + entries
+        assert _parse_mm_integer_body(head + entries) is not None
+        assert _parse_mm_integer_body(general) is None
+        assert_same_parse(parse_matrix_market(head + entries), parse_matrix_market(general))
+
+    @pytest.mark.parametrize("text", [
+        HEAD.format("real", "general") + "3 3 1\n1 2 0.5\n",
+        HEAD.format("pattern", "general") + "3 3 1\n 1 2\n",
+        HEAD.format("pattern", "general") + "3 3 2\n1 2\n",  # count mismatch
+        HEAD.format("pattern", "general") + "3 3 1\n1 4\n",  # out of range
+        HEAD.format("pattern", "general") + "% a\x0bb\n3 3 1\n1 2\n",
+    ])
+    def test_matrix_market_line_path_inputs(self, text):
+        assert _parse_mm_integer_body(text) is None
+
+    def test_memory_bounded(self):
+        # An integer edge list with 2e5 edges is about 2 MiB of text; parsing
+        # it and extracting all features peaks near 22 MiB of traced memory.
+        # One regular expression matched over the whole text would keep
+        # state for every line and pass 38 MiB on its own.
+        rng = np.random.default_rng(3)
+        pairs = rng.integers(0, 40000, size=(200000, 2))
+        text = ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+        tracemalloc.start()
+        try:
+            extract_features(parse_edge_list(text)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -1,0 +1,113 @@
+"""Hypothesis properties of the graph core and the feature kernels.
+
+Graphs are drawn small and tie-heavy (circulants, where every node has the
+same degree, plus a few random edges), so the (degree, id) tie-breaking of
+the peel order is exercised on almost every example.  They are built
+through Matrix Market text, which keeps isolated nodes.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import oracles  # noqa: E402
+from netclass import (  # noqa: E402
+    FEATURE_NAMES,
+    extract_features,
+    parse_edge_list,
+    parse_matrix_market,
+    write_edge_list,
+)
+from netclass.features import (  # noqa: E402
+    _INT_FEATURES,
+    clique_lower_bound,
+    core_decomposition,
+    greedy_chromatic,
+    triangle_counts,
+)
+from netclass.graph import relabel  # noqa: E402
+
+# Deterministic example generation and no example database on disk, so a
+# run leaves no files and every run checks the same examples.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# The heuristics break ties by node id, so they may change under relabelling.
+ORDER_DEPENDENT = {"max_clique_lb", "chromatic_number"}
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 20))
+    offsets = draw(st.sets(st.integers(1, max(1, n // 2)), max_size=3))
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n))
+    rows = n + draw(st.integers(0, 3))  # trailing isolated nodes
+    entries = [(i + 1, (i + s) % n + 1) for i in range(n) for s in sorted(offsets)] + extra
+    text = (f"%%MatrixMarket matrix coordinate pattern general\n"
+            f"{rows} {rows} {len(entries)}\n"
+            + "".join(f"{a} {b}\n" for a, b in entries))
+    return parse_matrix_market(text)[0]
+
+
+@PROPERTY
+@given(graphs())
+def test_peel_order_and_cores_match_heap_reference(g):
+    core, order = oracles.peel(g.node_count, list(g.edges()))
+    decomp = core_decomposition(g)
+    assert decomp.core_numbers.tolist() == core
+    assert decomp.peel_order.tolist() == order
+
+
+@PROPERTY
+@given(graphs())
+def test_heuristics_match_reference_walk_of_the_peel_order(g):
+    n, edges = g.node_count, list(g.edges())
+    _, order = oracles.peel(n, edges)
+    decomp = core_decomposition(g)
+    assert clique_lower_bound(g, decomp) == oracles.greedy_clique(n, edges, order)
+    assert greedy_chromatic(g, decomp) == oracles.greedy_coloring(n, edges, order)
+
+
+@PROPERTY
+@given(graphs())
+def test_triangle_counts_match_brute_force(g):
+    counts, total = triangle_counts(g)
+    per_node = oracles.triangle_count_per_node(g.node_count, list(g.edges()))
+    assert counts.tolist() == per_node
+    assert total == sum(per_node) // 3
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_order_free_features_survive_relabel(g, data):
+    perm = data.draw(st.permutations(range(g.node_count)))
+    before = extract_features(g)
+    after = extract_features(relabel(g, perm))
+    for name in FEATURE_NAMES:
+        if name in ORDER_DEPENDENT:
+            continue
+        if name in _INT_FEATURES:
+            assert getattr(after, name) == getattr(before, name), name
+        else:  # sums may run in another order
+            assert getattr(after, name) == pytest.approx(
+                getattr(before, name), rel=1e-12, abs=1e-15), name
+
+
+@PROPERTY
+@given(graphs())
+def test_parse_of_written_edge_list_gives_the_graph_back(g):
+    g2, ids = parse_edge_list(write_edge_list(g))
+    labels = ids.original_labels()
+    assert g2.node_count == int((g.degrees() > 0).sum())
+    assert sorted(tuple(sorted((labels[u], labels[v]))) for u, v in g2.edges()) \
+        == list(g.edges())
+
+
+@PROPERTY
+@given(graphs())
+def test_every_feature_is_finite(g):
+    fv = extract_features(g)
+    assert all(math.isfinite(v) for v in fv.as_array())

@@ -24,7 +24,8 @@ class TestErdosRenyi:
 
     def test_simple_graph_invariants(self):
         g = erdos_renyi(40, 0.3, seed=5)
-        for u, nbrs in enumerate(g.adjacency):
+        for u in range(g.node_count):
+            nbrs = g.neighbors(u).tolist()
             assert u not in nbrs
             assert len(set(nbrs)) == len(nbrs)
         assert all(u < v for u, v in g.edges())
@@ -33,8 +34,8 @@ class TestErdosRenyi:
         a = erdos_renyi(30, 0.2, seed=9)
         b = erdos_renyi(30, 0.2, seed=9)
         c = erdos_renyi(30, 0.2, seed=10)
-        assert a.adjacency == b.adjacency
-        assert a.adjacency != c.adjacency
+        assert a == b
+        assert a != c
 
     def test_edge_count_near_expectation(self):
         # mean of 40 draws should sit well within 4 standard errors
@@ -91,14 +92,8 @@ class TestBarabasiAlbert:
         assert max(g.degrees()) > 30
 
     def test_deterministic_per_seed(self):
-        assert (
-            barabasi_albert(60, 4, seed=2).adjacency
-            == barabasi_albert(60, 4, seed=2).adjacency
-        )
-        assert (
-            barabasi_albert(60, 4, seed=2).adjacency
-            != barabasi_albert(60, 4, seed=3).adjacency
-        )
+        assert barabasi_albert(60, 4, seed=2) == barabasi_albert(60, 4, seed=2)
+        assert barabasi_albert(60, 4, seed=2) != barabasi_albert(60, 4, seed=3)
 
     @pytest.mark.parametrize("n,m", [(5, 0), (5, 5), (5, 6)])
     def test_bad_m(self, n, m):
@@ -175,8 +170,8 @@ class TestCorpus:
         a = generate_corpus(default_corpus_specs(5))
         b = generate_corpus(default_corpus_specs(5))
         c = generate_corpus(default_corpus_specs(6))
-        assert [e.graph.adjacency for e in a] == [e.graph.adjacency for e in b]
-        assert [e.graph.adjacency for e in a] != [e.graph.adjacency for e in c]
+        assert [e.graph for e in a] == [e.graph for e in b]
+        assert [e.graph for e in a] != [e.graph for e in c]
 
     def test_entries_independent_of_order(self):
         # entry i depends only on (spec, i), never on earlier entries
@@ -185,7 +180,7 @@ class TestCorpus:
         for local, global_idx in [(17, 17), (0, 0), (49, 49), (74, 124)]:
             spec = specs[0] if global_idx < 50 else specs[1]
             entry = generate_entry(spec, local, global_idx)
-            assert entry.graph.adjacency == corpus[global_idx].graph.adjacency
+            assert entry.graph == corpus[global_idx].graph
             assert entry.name == corpus[global_idx].name
 
 

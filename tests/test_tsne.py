@@ -129,3 +129,11 @@ class TestValidation:
         x = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(ValueError, match="learning rate must be positive"):
             tsne(x, perplexity=2.0, iterations=10, learning_rate=rate, seed=0)
+
+    @pytest.mark.parametrize("rate", [1e300, float("inf")])
+    def test_divergence_is_one_error_and_no_warning(self, rate):
+        # pytest turns warnings into errors, so a numpy overflow warning
+        # escaping the optimizer would fail this test as well.
+        x = blobs(np.random.default_rng(4), per=8)
+        with pytest.raises(ValueError, match="optimization diverged"):
+            tsne(x, perplexity=5.0, iterations=60, learning_rate=rate, seed=0)
