@@ -4,117 +4,34 @@ Parse graphs, extract 15 structural features, generate labeled synthetic
 corpora, and run the bundled from-scratch learners (random forest, k-means,
 t-SNE) over the resulting feature tables.  Every random choice flows from an
 explicit seed, so equal inputs give byte-equal outputs.
+
+The names below are the whole top-level API, the ones the README uses;
+everything else is imported from its submodule, for example
+``netclass.graph.parse_matrix_market``.
 """
 
-from .data import (
-    Dataset,
-    StandardizeParams,
-    apply_standardize,
-    feature_log_flags,
-    fit_standardize,
-    standardize_dataset,
-)
-from .evaluate import (
-    ConfusionMatrix,
-    CVResult,
-    FoldPlan,
-    MisclassRecord,
-    OverlapReport,
-    cluster_category_overlap,
-    cross_validate,
-    stratified_kfold,
-)
-from .features import (
-    CSV_HEADER,
-    FEATURE_NAMES,
-    FeatureVector,
-    extract_features,
-    read_features_csv,
-    write_features_csv,
-)
-from .forest import (
-    DecisionTree,
-    Forest,
-    ForestParams,
-    ModelFormatError,
-    forest_from_json,
-    forest_predict,
-    forest_to_json,
-    forest_train,
-    train_tree,
-)
-from .graph import (
-    Graph,
-    GraphParseError,
-    NodeIdMap,
-    from_edges,
-    parse_edge_list,
-    parse_matrix_market,
-    write_edge_list,
-)
-from .kmeans import ClusterResult, kmeans
-from .seeding import derive_seed, make_rng
-from .synth import (
-    CorpusEntry,
-    GeneratorSpec,
-    barabasi_albert,
-    default_corpus_specs,
-    erdos_renyi,
-    generate_corpus,
-    parse_generator_spec,
-)
-from .tsne import Embedding, tsne
+from .data import Dataset, feature_log_flags
+from .evaluate import cross_validate
+from .features import extract_features
+from .forest import ForestParams, forest_predict, forest_train
+from .graph import parse_edge_list
+from .kmeans import kmeans
+from .synth import default_corpus_specs, generate_corpus
+from .tsne import tsne
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSV_HEADER",
-    "FEATURE_NAMES",
-    "ClusterResult",
-    "ConfusionMatrix",
-    "CorpusEntry",
-    "CVResult",
     "Dataset",
-    "DecisionTree",
-    "Embedding",
-    "FeatureVector",
-    "FoldPlan",
-    "Forest",
     "ForestParams",
-    "GeneratorSpec",
-    "Graph",
-    "GraphParseError",
-    "MisclassRecord",
-    "ModelFormatError",
-    "NodeIdMap",
-    "OverlapReport",
-    "StandardizeParams",
-    "apply_standardize",
-    "barabasi_albert",
-    "cluster_category_overlap",
     "cross_validate",
     "default_corpus_specs",
-    "derive_seed",
-    "erdos_renyi",
     "extract_features",
     "feature_log_flags",
-    "fit_standardize",
-    "forest_from_json",
     "forest_predict",
-    "forest_to_json",
     "forest_train",
-    "from_edges",
     "generate_corpus",
     "kmeans",
-    "make_rng",
     "parse_edge_list",
-    "parse_generator_spec",
-    "parse_matrix_market",
-    "read_features_csv",
-    "standardize_dataset",
-    "stratified_kfold",
-    "train_tree",
     "tsne",
-    "write_edge_list",
-    "write_features_csv",
 ]

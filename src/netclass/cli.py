@@ -1,11 +1,12 @@
 """Command-line front end tying parsing, features, learning and reports together.
 
-Exit codes: 0 success, 1 validation error (bad flags, config, or input
-files), 2 partial data failure (some graphs failed but output was written
-for the rest), 3 internal error.  All file outputs are written atomically
-(temp file + rename) and are byte-identical for a given seed.  Every
-command runs serially in one process; --workers is accepted and checked (it
-must be at least 1) but currently has no effect.
+Exit codes: 0 success, 1 validation error (bad flags, config, input files,
+or an output path that cannot be written), 2 partial data failure (some
+graphs failed but output was written for the rest), 3 internal error.  All
+file outputs are written atomically (temp file + rename) and are
+byte-identical for a given seed.  Every command runs serially in one
+process; --workers is accepted and checked (it must be at least 1) but
+currently has no effect.
 
 This module only parses and merges settings.  Each setting's range is
 checked by the library step that uses it (the forest, the fold plan,
@@ -16,6 +17,7 @@ every ValueError to exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import os
@@ -141,21 +143,31 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError while writing path as a ValueError, like _read_text."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write text then rename into place so readers never see partial files."""
     target = os.path.abspath(path)
     directory = os.path.dirname(target)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.netclass.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
+    with _writing(path):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.netclass.")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def load_graph(path: str):
@@ -280,7 +292,8 @@ def cmd_generate(args: argparse.Namespace, cfg: RunConfig) -> int:
     entries = generate_corpus(specs)
     if not entries:
         raise ValueError("generator spec produces no graphs")
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _writing(args.out_dir):
+        os.makedirs(args.out_dir, exist_ok=True)
     manifest = io.StringIO()
     writer = csv.writer(manifest, lineterminator="\n")
     writer.writerow(["path", "name", "category", "nodes", "edges", "params", "seed"])
@@ -344,7 +357,8 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     dataset = _load_dataset(args.features)
     result = cross_validate(dataset, _forest_params(cfg), cfg.folds, cfg.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _writing(args.out_dir):
+        os.makedirs(args.out_dir, exist_ok=True)
     atomic_write(
         os.path.join(args.out_dir, "confusion.csv"), confusion_to_csv(result.confusion)
     )

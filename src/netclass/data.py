@@ -81,16 +81,12 @@ class Dataset:
 class StandardizeParams:
     """Fitted per-column transform: optional log10(1+x), then (x - mean)/std.
 
-    Columns whose std is zero are flagged and map to zero.
+    Columns whose std is zero map to zero.
     """
 
     log_flags: tuple[bool, ...]
     means: tuple[float, ...]
     stds: tuple[float, ...]
-
-    @property
-    def constant_columns(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.stds) if s == 0.0)
 
 
 def fit_standardize(
@@ -143,23 +139,3 @@ def apply_standardize(params: StandardizeParams, matrix: np.ndarray) -> np.ndarr
     out = (x - means) / safe
     out[:, stds == 0.0] = 0.0
     return out[0] if one_row else out
-
-
-def standardize_dataset(
-    dataset: Dataset, log_flags: "tuple[bool, ...] | None" = None
-) -> tuple[Dataset, StandardizeParams]:
-    """Standardize a Dataset's matrix; feature-layout datasets log counts.
-
-    Datasets with the canonical 15 columns default to the feature log flags;
-    other widths default to a plain z-score.
-    """
-    if log_flags is None and dataset.matrix.shape[1] == len(FEATURE_NAMES):
-        log_flags = feature_log_flags()
-    params = fit_standardize(dataset.matrix, log_flags)
-    out = Dataset(
-        dataset.names,
-        dataset.labels,
-        dataset.label_names,
-        apply_standardize(params, dataset.matrix),
-    )
-    return out, params

@@ -100,26 +100,6 @@ class Forest:
     label_names: tuple[str, ...]
 
 
-def _gini_gain(sv, sy, n_classes, parent_counts, parent_gini):
-    """Best (gain, threshold) for one sorted feature column, or None."""
-    n = len(sv)
-    cut = np.nonzero(sv[:-1] != sv[1:])[0]
-    if len(cut) == 0:
-        return None
-    onehot = sy[:, None] == np.arange(n_classes)[None, :]
-    prefix = np.cumsum(onehot, axis=0)
-    left = prefix[cut].astype(np.float64)
-    right = parent_counts[None, :] - left
-    n_left = (cut + 1).astype(np.float64)
-    n_right = n - n_left
-    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
-    gain = parent_gini - (n_left / n) * gini_left - (n_right / n) * gini_right
-    best = int(np.argmax(gain))
-    threshold = (sv[cut[best]] + sv[cut[best] + 1]) / 2.0
-    return float(gain[best]), float(threshold)
-
-
 def train_tree(
     matrix: np.ndarray,
     labels: np.ndarray,
@@ -165,20 +145,27 @@ def train_tree(
             continue
         parent_gini = 1.0 - ((node_counts / total) ** 2).sum()
         feats = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
-        best = None
-        for f in feats:
-            col = x[idx, f]
-            order = np.argsort(col, kind="stable")
-            found = _gini_gain(col[order], y[idx][order], n_classes, node_counts,
-                               parent_gini)
-            if found is None:
-                continue
-            gain, cut = found
-            if gain > 0.0 and (best is None or gain > best[0]):
-                best = (gain, int(f), cut)
-        if best is None:
+        # Every cut of every candidate column at once: row i of a column's
+        # stable sort order ends the left side of cut i.
+        cols = x[idx][:, feats]
+        order = np.argsort(cols, axis=0, kind="stable")
+        sv = np.take_along_axis(cols, order, axis=0)
+        onehot = y[idx][order][:, :, None] == np.arange(n_classes)
+        n_left = np.arange(1, total, dtype=np.float64)[:, None]
+        n_right = total - n_left
+        left_counts = np.cumsum(onehot, axis=0)[:-1].astype(np.float64)
+        right_counts = node_counts - left_counts
+        gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
+        gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
+        gain = parent_gini - (n_left / total) * gini_left - (n_right / total) * gini_right
+        gain[sv[:-1] == sv[1:]] = -np.inf  # no cut between equal values
+        # The first maximum is the lowest cut, then the lowest feature.
+        cut = np.argmax(gain, axis=0)
+        f = int(np.argmax(gain[cut, np.arange(len(feats))]))
+        if not gain[cut[f], f] > 0.0:
             continue
-        _, feature[node], threshold[node] = best
+        feature[node] = int(feats[f])
+        threshold[node] = float((sv[cut[f], f] + sv[cut[f] + 1, f]) / 2.0)
         left[node] = node + 1
         mask = x[idx, feature[node]] <= threshold[node]
         stack.append((idx[~mask], node))

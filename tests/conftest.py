@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from netclass import Graph, from_edges, parse_edge_list
+from netclass import parse_edge_list
+from netclass.graph import Graph, from_edges
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -1,7 +1,7 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Everything here is written for clarity over speed and is only run on tiny
-graphs (n <= ~35), so exponential algorithms are fine.  None of it shares
+graphs (n <= ~35) and tiny tables, so exponential algorithms are fine.  None of it shares
 code with the package under test.
 """
 
@@ -212,3 +212,78 @@ def greedy_coloring(n, edges, order):
         taken = {color[u] for u in adj[v] if u in color}
         color[v] = min(c for c in range(len(taken) + 1) if c not in taken)
     return len(set(color.values()))
+
+
+def _gini_gain(sv, sy, n_classes, parent_counts, parent_gini):
+    """Best (gain, threshold) for one sorted feature column, or None."""
+    n = len(sv)
+    cut = np.nonzero(sv[:-1] != sv[1:])[0]
+    if len(cut) == 0:
+        return None
+    onehot = sy[:, None] == np.arange(n_classes)[None, :]
+    prefix = np.cumsum(onehot, axis=0)
+    left = prefix[cut].astype(np.float64)
+    right = parent_counts[None, :] - left
+    n_left = (cut + 1).astype(np.float64)
+    n_right = n - n_left
+    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+    gain = parent_gini - (n_left / n) * gini_left - (n_right / n) * gini_right
+    best = int(np.argmax(gain))
+    threshold = (sv[cut[best]] + sv[cut[best] + 1]) / 2.0
+    return float(gain[best]), float(threshold)
+
+
+def cart_tree(x, y, features_per_split, min_split, seed, n_classes):
+    """The reference for forest.train_tree: the five preorder node arrays
+    (feature, threshold, left, right, counts), each node's candidate columns
+    scored one at a time and the best split kept under a strict `>`.
+
+    Node numbering and the candidate draws follow the same preorder and the
+    same PCG64 stream (numpy.random.default_rng(seed), seed >= 0).
+    """
+    rng = np.random.default_rng(seed)
+    n_features = x.shape[1]
+    feature, threshold, left, right, counts = [], [], [], [], []
+    stack = [(np.arange(x.shape[0]), -1)]
+    while stack:
+        idx, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        node_counts = np.bincount(y[idx], minlength=n_classes)
+        total = len(idx)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append(node_counts)
+        if total < min_split or (node_counts > 0).sum() <= 1:
+            continue
+        parent_gini = 1.0 - ((node_counts / total) ** 2).sum()
+        feats = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
+        best = None
+        for f in feats:
+            col = x[idx, f]
+            order = np.argsort(col, kind="stable")
+            found = _gini_gain(col[order], y[idx][order], n_classes, node_counts,
+                               parent_gini)
+            if found is None:
+                continue
+            gain, cut = found
+            if gain > 0.0 and (best is None or gain > best[0]):
+                best = (gain, int(f), cut)
+        if best is None:
+            continue
+        _, feature[node], threshold[node] = best
+        left[node] = node + 1
+        mask = x[idx, feature[node]] <= threshold[node]
+        stack.append((idx[~mask], node))
+        stack.append((idx[mask], -1))
+    return (
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+    )

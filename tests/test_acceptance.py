@@ -18,13 +18,10 @@ from conftest import EXPECTED_FEATURES, KARATE_ASSORTATIVITY, KARATE_EXPECTED
 from netclass import (
     Dataset,
     ForestParams,
-    barabasi_albert,
     cross_validate,
     default_corpus_specs,
-    erdos_renyi,
     extract_features,
     feature_log_flags,
-    fit_standardize,
     forest_predict,
     forest_train,
     generate_corpus,
@@ -32,8 +29,10 @@ from netclass import (
     tsne,
 )
 from netclass.cli import main
+from netclass.data import fit_standardize
 from netclass.features import FeatureVector
 from netclass.graph import _build_graph
+from netclass.synth import barabasi_albert, erdos_renyi
 from netclass.tsne import _pairwise_sq_dists, joint_affinities, kl_and_grad
 
 INT_FEATURES = {f.name for f in FeatureVector.__dataclass_fields__.values()

@@ -85,7 +85,13 @@ class TestArgParsing:
 # CLI (only --workers is checked there).  Every output goes under work/, so an
 # empty work/ afterwards means the command wrote nothing.  The fixture table
 # has 12 rows, so embed cases that test another setting pass --perplexity 2.
+# The last cases name an output path that cannot be written (under a missing
+# directory, through the regular file afile, or onto a directory); a later
+# output flag overrides the one in OUT_FLAGS.
+INPUTS = {"features": "graphs/manifest.csv", "generate": "spec.ini"}
 OUT_FLAGS = {
+    "features": ["--out", "work/f.csv"],
+    "generate": ["--out-dir", "work/corpus"],
     "train": ["--model-out", "work/m.json"],
     "evaluate": ["--out-dir", "work/reports"],
     "embed": ["--out", "work/e.csv"],
@@ -117,6 +123,11 @@ BAD_SETTINGS = [
     # A run that diverges stops with one error and writes nothing.
     *[("embed", ["--perplexity", "2", "--iterations", "60", "--learning-rate", rate],
        "optimization diverged") for rate in ("1e300", "inf")],
+    ("features", ["--out", "work/nodir/f.csv"],
+     "cannot write work/nodir/f.csv: No such file or directory"),
+    ("generate", ["--out-dir", "afile"], "cannot write afile: File exists"),
+    ("evaluate", ["--out-dir", "afile/reports"], "cannot write afile/reports: Not a directory"),
+    ("train", ["--model-out", "work"], "cannot write work: Is a directory"),
 ]
 
 
@@ -126,12 +137,15 @@ def test_out_of_range_setting_exits_1_and_writes_nothing(
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "work").mkdir()
-    code = main([command, str(corpus["features"])] + OUT_FLAGS[command] + flags)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    source = corpus["root"] / INPUTS.get(command, "features.csv")
+    code = main([command, str(source)] + OUT_FLAGS[command] + flags)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
     assert list((tmp_path / "work").iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "work"]
 
 
 class TestConfigFile:

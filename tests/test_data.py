@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from netclass import (
-    Dataset,
-    FEATURE_NAMES,
-    apply_standardize,
-    feature_log_flags,
-    fit_standardize,
-    standardize_dataset,
-)
+from netclass import Dataset, feature_log_flags
+from netclass.data import apply_standardize, fit_standardize
+from netclass.features import FEATURE_NAMES
 
 
 class TestFitApply:
@@ -41,7 +36,7 @@ class TestFitApply:
     def test_constant_column_outputs_zero(self):
         matrix = np.array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]])
         params = fit_standardize(matrix)
-        assert params.constant_columns == (0,)
+        assert params.stds[0] == 0.0
         out = apply_standardize(params, matrix)
         assert np.all(out[:, 0] == 0.0)
         assert out[:, 1].std() > 0
@@ -119,18 +114,3 @@ class TestDataset:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="disagree"):
             Dataset(("a",), np.array([0, 1]), ("x",), np.ones((1, 2)))
-
-    def test_standardize_dataset_uses_feature_flags_for_15_columns(self):
-        rng = np.random.default_rng(1)
-        matrix = np.abs(rng.normal(10.0, 3.0, size=(6, len(FEATURE_NAMES))))
-        ds = Dataset.from_feature_table(
-            [f"g{i}" for i in range(6)], ["x"] * 6, matrix
-        )
-        out, params = standardize_dataset(ds)
-        assert params.log_flags == feature_log_flags()
-        assert np.allclose(out.matrix.mean(axis=0), 0.0, atol=1e-12)
-
-    def test_standardize_dataset_plain_for_other_widths(self):
-        ds = self.make()
-        _, params = standardize_dataset(ds)
-        assert params.log_flags == (False, False)

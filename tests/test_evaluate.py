@@ -3,23 +3,19 @@
 import numpy as np
 import pytest
 
-from netclass import (
-    ConfusionMatrix,
-    Dataset,
-    ForestParams,
-    cluster_category_overlap,
-    cross_validate,
-    derive_seed,
-    fit_standardize,
-    stratified_kfold,
-)
+from netclass import Dataset, ForestParams, cross_validate
+from netclass.data import fit_standardize
 from netclass.evaluate import (
+    ConfusionMatrix,
     FoldPlan,
+    cluster_category_overlap,
     confusion_to_csv,
     confusion_to_text,
     misclass_to_csv,
     overlap_to_text,
+    stratified_kfold,
 )
+from netclass.seeding import derive_seed
 
 
 class TestStratifiedKFold:
@@ -236,7 +232,7 @@ class TestOverlap:
 
 class TestMisclassCsv:
     def test_golden_output(self):
-        from netclass import MisclassRecord
+        from netclass.evaluate import MisclassRecord
 
         records = [MisclassRecord("g7", "ER", "BA", (60, 40))]
         text = misclass_to_csv(records, ("BA", "ER"))

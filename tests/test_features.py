@@ -7,21 +7,18 @@ import pytest
 
 import oracles
 from conftest import EXPECTED_FEATURES, KARATE_ASSORTATIVITY, KARATE_EXPECTED
-from netclass import (
+from netclass import extract_features
+from netclass.features import (
     CSV_HEADER,
     FEATURE_NAMES,
-    extract_features,
-    from_edges,
-    read_features_csv,
-    write_features_csv,
-)
-from netclass.features import (
     assortativity,
     core_decomposition,
     format_value,
+    read_features_csv,
     triangle_counts,
+    write_features_csv,
 )
-from netclass.graph import relabel
+from netclass.graph import from_edges, relabel
 
 INT_FEATURES = {
     "nodes", "edges", "max_degree", "min_degree", "total_triangles",

@@ -5,22 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from netclass import (
-    Dataset,
+from netclass import Dataset, ForestParams, forest_predict, forest_train
+from netclass.data import apply_standardize, fit_standardize
+from netclass.forest import (
+    TREE_ARRAYS,
     Forest,
-    ForestParams,
     ModelFormatError,
-    apply_standardize,
-    derive_seed,
-    fit_standardize,
     forest_from_json,
-    forest_predict,
     forest_to_json,
-    forest_train,
     train_tree,
 )
-from netclass.forest import TREE_ARRAYS
-from netclass.seeding import make_rng
+from netclass.seeding import derive_seed, make_rng
 
 
 def arrays(tree):

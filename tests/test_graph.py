@@ -5,15 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netclass import (
+from netclass import extract_features, parse_edge_list
+from netclass.graph import (
     GraphParseError,
-    extract_features,
+    _int_tokens,
+    _parse_mm_integer_body,
     from_edges,
-    parse_edge_list,
     parse_matrix_market,
+    relabel,
     write_edge_list,
 )
-from netclass.graph import _int_tokens, _parse_mm_integer_body, relabel
 
 
 class TestEdgeListParsing:

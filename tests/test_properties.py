@@ -1,13 +1,16 @@
-"""Hypothesis properties of the graph core and the feature kernels.
+"""Hypothesis properties of the graph core, the feature kernels and the trees.
 
 Graphs are drawn small and tie-heavy (circulants, where every node has the
 same degree, plus a few random edges), so the (degree, id) tie-breaking of
 the peel order is exercised on almost every example.  They are built
-through Matrix Market text, which keeps isolated nodes.
+through Matrix Market text, which keeps isolated nodes.  Tree tables are
+drawn from a few values per column, so equal values, equal gains and cuts
+that do not exist are common.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,21 +18,21 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from netclass import (  # noqa: E402
-    FEATURE_NAMES,
-    extract_features,
-    parse_edge_list,
-    parse_matrix_market,
-    write_edge_list,
-)
+from netclass import extract_features, parse_edge_list  # noqa: E402
 from netclass.features import (  # noqa: E402
+    FEATURE_NAMES,
     _INT_FEATURES,
     clique_lower_bound,
     core_decomposition,
     greedy_chromatic,
     triangle_counts,
 )
-from netclass.graph import relabel  # noqa: E402
+from netclass.forest import TREE_ARRAYS, train_tree  # noqa: E402
+from netclass.graph import (  # noqa: E402
+    parse_matrix_market,
+    relabel,
+    write_edge_list,
+)
 
 # Deterministic example generation and no example database on disk, so a
 # run leaves no files and every run checks the same examples.
@@ -111,3 +114,32 @@ def test_parse_of_written_edge_list_gives_the_graph_back(g):
 def test_every_feature_is_finite(g):
     fv = extract_features(g)
     assert all(math.isfinite(v) for v in fv.as_array())
+
+
+@st.composite
+def tree_tables(draw):
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(1, 5))
+    values = st.sampled_from((-1.5, 0.0, 0.25, 3.0))
+    x = np.array(draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)))
+    n_classes = draw(st.integers(1, 4))
+    # Leave one class out of the labels when there is more than one.
+    absent = draw(st.integers(0, n_classes - 1)) if n_classes > 1 else None
+    present = [c for c in range(n_classes) if c != absent]
+    y = np.array(draw(st.lists(st.sampled_from(present), min_size=rows, max_size=rows)))
+    features_per_split = draw(st.integers(1, cols))
+    min_split = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32))
+    return x, y, features_per_split, min_split, seed, n_classes
+
+
+@PROPERTY
+@given(tree_tables())
+def test_train_tree_matches_reference_split_search(table):
+    x, y, features_per_split, min_split, seed, n_classes = table
+    tree = train_tree(x, y, features_per_split, min_split, seed, n_classes=n_classes)
+    expected = oracles.cart_tree(x, y, features_per_split, min_split, seed, n_classes)
+    for name, want in zip(TREE_ARRAYS, expected):
+        got = getattr(tree, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name

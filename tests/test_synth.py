@@ -5,16 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netclass import (
+from netclass import default_corpus_specs, generate_corpus
+from netclass.seeding import derive_seed
+from netclass.synth import (
     GeneratorSpec,
     barabasi_albert,
-    default_corpus_specs,
-    derive_seed,
     erdos_renyi,
-    generate_corpus,
+    generate_entry,
     parse_generator_spec,
 )
-from netclass.synth import generate_entry
 
 
 class TestErdosRenyi:
