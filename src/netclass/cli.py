@@ -36,10 +36,15 @@ from .evaluate import (
     misclass_to_csv,
     overlap_to_text,
 )
-from .features import FEATURE_NAMES, extract_features, read_features_csv, write_features_csv
+from .features import (
+    FEATURE_NAMES,
+    csv_text,
+    extract_features,
+    read_features_csv,
+    write_features_csv,
+)
 from .forest import (
     ForestParams,
-    ModelFormatError,
     forest_from_json,
     forest_predict,
     forest_to_json,
@@ -152,6 +157,11 @@ def _writing(path: str):
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _makedirs(path: str) -> None:
+    with _writing(path):
+        os.makedirs(path, exist_ok=True)
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write text then rename into place so readers never see partial files."""
     target = os.path.abspath(path)
@@ -170,12 +180,13 @@ def atomic_write(path: str, text: str) -> None:
             raise
 
 
-def load_graph(path: str):
-    """Parse a graph file; .mtx means Matrix Market, anything else edge list."""
+def _parse_file(path: str, parse):
+    """Return parse(text of path), naming path in any ValueError parse raises."""
     text = _read_text(path)
-    if path.lower().endswith(".mtx"):
-        return parse_matrix_market(text)
-    return parse_edge_list(text)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -212,37 +223,34 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     return rows
 
 
-def _graph_features(path: str):
-    """Parse one graph file and extract its features.
+def _extract_all(paths: list[str]):
+    """Parse each graph file (.mtx is Matrix Market, anything else an edge
+    list) and extract its features; one bad file never stops the batch.
 
-    Returns (features, None), or (None, message) when the graph cannot be
-    read, parsed or measured, so one bad file never stops a batch.
+    Returns two dicts keyed by index into paths: the features of each graph
+    that parsed, and a "path: reason" message for each that did not.
     """
-    try:
-        graph, _ = load_graph(path)
-        return extract_features(graph), None
-    except ValueError as exc:
-        return None, f"{path}: {exc}"
+    done, failures = {}, {}
+    for i, path in enumerate(paths):
+        parse = parse_matrix_market if path.lower().endswith(".mtx") else parse_edge_list
+        try:
+            graph, _ = parse(_read_text(path))
+            done[i] = extract_features(graph)
+        except ValueError as exc:
+            failures[i] = f"{path}: {exc}"
+    return done, failures
 
 
 def _read_feature_table(features_path: str, build):
-    """Read a non-empty feature CSV and return build(names, categories, matrix).
+    """Read a non-empty feature CSV and return build(names, categories, matrix)."""
 
-    A ValueError from the reader or from `build` is raised again naming the
-    file.
-    """
-    text = _read_text(features_path)
-    try:
+    def parse(text):
         names, categories, matrix = read_features_csv(io.StringIO(text))
         if not names:
             raise ValueError("feature CSV has no data rows")
         return build(names, categories, matrix)
-    except ValueError as exc:
-        raise ValueError(f"{features_path}: {exc}") from None
 
-
-def _load_dataset(features_path: str) -> Dataset:
-    return _read_feature_table(features_path, Dataset.from_feature_table)
+    return _parse_file(features_path, parse)
 
 
 def _standardized_matrix(features_path: str):
@@ -264,54 +272,42 @@ def _forest_params(cfg: RunConfig) -> ForestParams:
 
 def cmd_features(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = read_manifest(args.manifest)
-    done, failures = [], []
-    for graph_path, name, category in rows:
-        fv, err = _graph_features(graph_path)
-        if err is None:
-            done.append((name, category, fv))
-        else:
-            failures.append(f"{name}: {err}")
+    done, failures = _extract_all([graph_path for graph_path, _, _ in rows])
     out = io.StringIO()
-    write_features_csv(out, done)
+    write_features_csv(out, [(rows[i][1], rows[i][2], fv) for i, fv in done.items()])
     atomic_write(args.out, out.getvalue())
-    for err in failures:
-        print(f"error: {err}", file=sys.stderr)
+    for i, err in failures.items():
+        print(f"error: {rows[i][1]}: {err}", file=sys.stderr)
     print(f"extracted features for {len(done)}/{len(rows)} graphs -> {args.out}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_generate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.specfile:
-        text = _read_text(args.specfile)
-        try:
-            specs = parse_generator_spec(text, cfg.seed)
-        except ValueError as exc:
-            raise ValueError(f"{args.specfile}: {exc}") from None
+        specs = _parse_file(args.specfile, lambda text: parse_generator_spec(text, cfg.seed))
     else:
         specs = default_corpus_specs(cfg.seed)
     entries = generate_corpus(specs)
     if not entries:
         raise ValueError("generator spec produces no graphs")
-    with _writing(args.out_dir):
-        os.makedirs(args.out_dir, exist_ok=True)
-    manifest = io.StringIO()
-    writer = csv.writer(manifest, lineterminator="\n")
-    writer.writerow(["path", "name", "category", "nodes", "edges", "params", "seed"])
+    _makedirs(args.out_dir)
+    manifest = []
     for entry in entries:
         filename = f"{entry.name}.edges"
         atomic_write(os.path.join(args.out_dir, filename), write_edge_list(entry.graph))
-        writer.writerow([
+        manifest.append([
             filename, entry.name, entry.category,
             str(entry.graph.node_count), str(entry.graph.edge_count),
             entry.params, str(entry.seed),
         ])
-    atomic_write(os.path.join(args.out_dir, "manifest.csv"), manifest.getvalue())
+    header = ["path", "name", "category", "nodes", "edges", "params", "seed"]
+    atomic_write(os.path.join(args.out_dir, "manifest.csv"), csv_text(header, manifest))
     print(f"generated {len(entries)} graphs -> {args.out_dir}")
     return EXIT_OK
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
-    dataset = _load_dataset(args.features)
+    dataset = _read_feature_table(args.features, Dataset.from_feature_table)
     forest = forest_train(dataset, _forest_params(cfg), cfg.seed)
     hits = int((forest_predict(forest, dataset.matrix)[0] == dataset.labels).sum())
     atomic_write(args.model_out, forest_to_json(forest) + "\n")
@@ -323,52 +319,34 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
-    try:
-        forest = forest_from_json(_read_text(args.model))
-    except ModelFormatError as exc:
-        raise ValueError(f"{args.model}: {exc}") from None
-    done, failures = [], []
-    for path in args.graphs:
-        fv, err = _graph_features(path)
-        if err is None:
-            done.append((path, fv.as_array()))
-        else:
-            failures.append(err)
-    matrix = np.array([row for _, row in done]).reshape(len(done), len(FEATURE_NAMES))
-    labels, votes = forest_predict(forest, matrix)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["path", "predicted"] + [f"votes_{s}" for s in forest.label_names]
-    )
-    for (path, _), label, row_votes in zip(done, labels, votes):
-        writer.writerow(
-            [path, forest.label_names[label]] + [str(int(v)) for v in row_votes]
-        )
+    forest = _parse_file(args.model, forest_from_json)
+    done, failures = _extract_all(args.graphs)
+    matrix = np.array([fv.as_array() for fv in done.values()])
+    labels, votes = forest_predict(forest, matrix.reshape(len(done), len(FEATURE_NAMES)))
+    text = csv_text(["path", "predicted"] + [f"votes_{s}" for s in forest.label_names], (
+        [args.graphs[i], forest.label_names[label]] + [str(int(v)) for v in row_votes]
+        for i, label, row_votes in zip(done, labels, votes)
+    ))
     if args.out:
-        atomic_write(args.out, out.getvalue())
+        atomic_write(args.out, text)
     else:
-        sys.stdout.write(out.getvalue())
-    for err in failures:
+        sys.stdout.write(text)
+    for err in failures.values():
         print(f"error: {err}", file=sys.stderr)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    dataset = _load_dataset(args.features)
+    dataset = _read_feature_table(args.features, Dataset.from_feature_table)
     result = cross_validate(dataset, _forest_params(cfg), cfg.folds, cfg.seed)
-    with _writing(args.out_dir):
-        os.makedirs(args.out_dir, exist_ok=True)
-    atomic_write(
-        os.path.join(args.out_dir, "confusion.csv"), confusion_to_csv(result.confusion)
-    )
-    atomic_write(
-        os.path.join(args.out_dir, "confusion.txt"), confusion_to_text(result.confusion)
-    )
-    atomic_write(
-        os.path.join(args.out_dir, "misclassified.csv"),
-        misclass_to_csv(result.misclassified, dataset.label_names),
-    )
+    reports = {
+        "confusion.csv": confusion_to_csv(result.confusion),
+        "confusion.txt": confusion_to_text(result.confusion),
+        "misclassified.csv": misclass_to_csv(result.misclassified, dataset.label_names),
+    }
+    _makedirs(args.out_dir)
+    for filename, text in reports.items():
+        atomic_write(os.path.join(args.out_dir, filename), text)
     print(
         f"{cfg.folds}-fold cv accuracy {result.accuracy:.6f} "
         f"({len(result.misclassified)} misclassified) -> {args.out_dir}"
@@ -385,16 +363,10 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> int:
         learning_rate=cfg.tsne_learning_rate,
         seed=cfg.seed,
     )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "category", "x", "y"])
-    for i, name in enumerate(names):
-        writer.writerow([
-            name, categories[i],
-            format(embedding.points[i, 0], ".17g"),
-            format(embedding.points[i, 1], ".17g"),
-        ])
-    atomic_write(args.out, out.getvalue())
+    atomic_write(args.out, csv_text(["name", "category", "x", "y"], (
+        [name, categories[i]] + [format(v, ".17g") for v in embedding.points[i]]
+        for i, name in enumerate(names)
+    )))
     print(f"embedded {len(names)} rows (final kl {embedding.kl:.6f}) -> {args.out}")
     return EXIT_OK
 
@@ -423,12 +395,10 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig) -> int:
             n_clusters=cfg.kmeans_k,
             threshold=cfg.overlap_threshold,
         )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "category", "cluster"])
-    for i, name in enumerate(names):
-        writer.writerow([name, categories[i], str(int(result.assignments[i]))])
-    atomic_write(args.out, out.getvalue())
+    atomic_write(args.out, csv_text(["name", "category", "cluster"], (
+        [name, categories[i], str(int(result.assignments[i]))]
+        for i, name in enumerate(names)
+    )))
     print(f"clustered {len(names)} rows into {cfg.kmeans_k} groups "
           f"(inertia {result.inertia:.6f}) -> {args.out}")
     if report is not None:
@@ -452,6 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int,
                         help="must be at least 1; no effect (commands run serially)")
 
+    forest_flags = argparse.ArgumentParser(add_help=False)
+    forest_flags.add_argument("--trees", type=int, help="forest size (default 100)")
+    forest_flags.add_argument("--features-per-split", type=int, dest="features_per_split",
+                              help="candidate features per node (default round(sqrt(D)))")
+    forest_flags.add_argument("--min-split", type=int, dest="min_split",
+                              help="minimum samples to split (default 2)")
+
     parser = _Parser(
         prog="netclass",
         description="Deterministic structural classification of networks.",
@@ -471,15 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="directory for graphs + manifest")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, forest_flags],
                        help="train a random forest on a feature CSV")
     p.add_argument("features", help="labeled feature CSV")
     p.add_argument("--model-out", required=True, help="output model JSON path")
-    p.add_argument("--trees", type=int, help="forest size (default 100)")
-    p.add_argument("--features-per-split", type=int, dest="features_per_split",
-                   help="candidate features per node (default round(sqrt(D)))")
-    p.add_argument("--min-split", type=int, dest="min_split",
-                   help="minimum samples to split (default 2)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", parents=[common],
@@ -489,14 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[common, forest_flags],
                        help="stratified k-fold cross-validation report")
     p.add_argument("features", help="labeled feature CSV")
     p.add_argument("--out-dir", default=".", help="report directory (default .)")
     p.add_argument("--folds", type=int, help="fold count (default 10)")
-    p.add_argument("--trees", type=int, help="forest size (default 100)")
-    p.add_argument("--features-per-split", type=int, dest="features_per_split")
-    p.add_argument("--min-split", type=int, dest="min_split")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("embed", parents=[common],

@@ -8,13 +8,12 @@ checked from outside.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, StandardizeParams
+from .features import csv_text
 from .forest import ForestParams, forest_predict, forest_train
 from .seeding import derive_seed, make_rng
 
@@ -212,12 +211,10 @@ def cluster_category_overlap(
 
 
 def confusion_to_csv(cm: ConfusionMatrix) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["category"] + list(cm.label_names))
-    for i, name in enumerate(cm.label_names):
-        writer.writerow([name] + [str(int(v)) for v in cm.counts[i]])
-    return out.getvalue()
+    return csv_text(["category"] + list(cm.label_names), (
+        [name] + [str(int(v)) for v in cm.counts[i]]
+        for i, name in enumerate(cm.label_names)
+    ))
 
 
 def confusion_to_text(cm: ConfusionMatrix) -> str:
@@ -234,17 +231,11 @@ def confusion_to_text(cm: ConfusionMatrix) -> str:
 
 
 def misclass_to_csv(records, label_names: tuple[str, ...]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["name", "category", "predicted"] + [f"votes_{s}" for s in label_names]
-    )
-    for rec in records:
-        writer.writerow(
-            [rec.name, rec.true_label, rec.predicted_label]
-            + [str(v) for v in rec.votes]
-        )
-    return out.getvalue()
+    header = ["name", "category", "predicted"] + [f"votes_{s}" for s in label_names]
+    return csv_text(header, (
+        [rec.name, rec.true_label, rec.predicted_label] + [str(v) for v in rec.votes]
+        for rec in records
+    ))
 
 
 def overlap_to_text(report: OverlapReport) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 from dataclasses import dataclass, fields
 from typing import IO, Iterable
 
@@ -298,17 +299,24 @@ def format_value(name: str, value: "int | float") -> str:
     return format(float(value), ".17g")
 
 
+def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
+    """CSV text of the header and then each row, each line ended by a newline."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def write_features_csv(
     out: IO[str], rows: Iterable[tuple[str, str, FeatureVector]]
 ) -> None:
     """Write (name, category, features) rows under the fixed header."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for name, category, fv in rows:
-        writer.writerow(
-            [name, category]
-            + [format_value(f, getattr(fv, f)) for f in FEATURE_NAMES]
-        )
+    out.write(csv_text(CSV_HEADER.split(","), (
+        [name, category]
+        + [format_value(f, getattr(fv, f)) for f in FEATURE_NAMES]
+        for name, category, fv in rows
+    )))
 
 
 def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:

@@ -118,6 +118,9 @@ def train_tree(
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[0] != y.shape[0]:
         raise ValueError("matrix and labels disagree or are empty")
+    # A NaN threshold would send every row right and never end the split.
+    if not np.isfinite(x).all():
+        raise ValueError("matrix contains non-finite values")
     if n_classes is None:
         n_classes = int(y.max()) + 1
     n_features = x.shape[1]
@@ -260,6 +263,8 @@ def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> DecisionTree
         raise ModelFormatError(
             f"tree arrays must have one entry per node and {n_classes} counts each"
         )
+    if not np.isfinite(tree.threshold).all() or (tree.counts < 0).any():
+        raise ModelFormatError("tree thresholds must be finite and counts at least 0")
     if ((tree.feature < -1) | (tree.feature >= n_features)).any():
         raise ModelFormatError(f"tree feature index outside 0..{n_features - 1}")
     # Children must come after their parent, so every walk ends at a leaf.
@@ -307,6 +312,10 @@ def forest_from_json(text: str) -> Forest:
             len(standardize.log_flags) == n_features == len(standardize.stds)
         ):
             raise ModelFormatError("model needs labels and equal-length standardize lists")
+        if not np.isfinite(standardize.means + standardize.stds).all():
+            raise ModelFormatError("standardize means and stds must be finite")
+        if min(standardize.stds) < 0:
+            raise ModelFormatError("standardize stds must be at least 0")
         trees = tuple(
             _tree_from_dict(t, n_features, len(label_names)) for t in payload["trees"]
         )

@@ -5,10 +5,12 @@ self-loops dropped, duplicate/reversed edges merged, weights discarded, and
 source labels compacted to 0..n-1 in first-appearance order.  The resulting
 Graph holds read-only numpy arrays and is safe to share across threads.
 
-Both parsers have two paths that give the same graph and label map: a numpy
-path for text made only of lines of unsigned decimal integers separated by
-single spaces (the files `generate` writes), and a line-by-line path for
-everything else, which also produces every error message.
+Every parser returns the graph and its label list: labels[v] is the source
+label of node v.  Both parsers have two paths that give the same graph and
+label list: a numpy path for text made only of lines of unsigned decimal
+integers separated by single spaces (the files `generate` writes), and a
+line-by-line path for everything else, which also produces every error
+message.
 """
 
 from __future__ import annotations
@@ -63,19 +65,6 @@ class Graph:
         return zip(u.tolist(), v.tolist())
 
 
-@dataclass(frozen=True)
-class NodeIdMap:
-    """Bijection from original source labels to compact node ids."""
-
-    to_compact: dict
-
-    def original_labels(self) -> list:
-        inv = [None] * len(self.to_compact)
-        for label, idx in self.to_compact.items():
-            inv[idx] = label
-        return inv
-
-
 def _build_graph(n: int, u, v) -> Graph:
     """The graph on nodes 0..n-1 with an edge for each pair (u[i], v[i]).
 
@@ -113,8 +102,8 @@ def _starts(sorted_values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def from_edges(pairs: Sequence[tuple]) -> tuple[Graph, NodeIdMap]:
-    """Canonicalize a list of (label, label) pairs into a Graph.
+def from_edges(pairs: Sequence[tuple]) -> tuple[Graph, list]:
+    """Canonicalize a list of (label, label) pairs into a Graph and its labels.
 
     Self-loops are dropped (their labels do not become nodes), parallel and
     reversed duplicates merge, and labels are numbered in first-appearance
@@ -133,7 +122,7 @@ def from_edges(pairs: Sequence[tuple]) -> tuple[Graph, NodeIdMap]:
             v = ids[b] = len(ids)
         us.append(u)
         vs.append(v)
-    return _build_graph(len(ids), us, vs), NodeIdMap(ids)
+    return _build_graph(len(ids), us, vs), list(ids)
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -165,7 +154,7 @@ def _int_tokens(text: str, per_line: int) -> "np.ndarray | None":
     return tokens
 
 
-def _parse_int_edges(tokens: np.ndarray) -> tuple[Graph, NodeIdMap]:
+def _parse_int_edges(tokens: np.ndarray) -> tuple[Graph, list]:
     """from_edges for integer labels given as flat (a0, b0, a1, b1, ...) tokens."""
     pairs = tokens.reshape(-1, 2)
     loops = pairs[:, 0] == pairs[:, 1]
@@ -182,8 +171,7 @@ def _parse_int_edges(tokens: np.ndarray) -> tuple[Graph, NodeIdMap]:
     ids = np.empty(len(flat), dtype=np.int64)
     ids[order] = compact[run]
     del order, run
-    mapping = dict(zip(flat[np.sort(first)].tolist(), range(len(first))))
-    return _build_graph(len(first), ids[0::2], ids[1::2]), NodeIdMap(mapping)
+    return _build_graph(len(first), ids[0::2], ids[1::2]), flat[np.sort(first)].tolist()
 
 
 def _coerce_label(token: str):
@@ -193,7 +181,7 @@ def _coerce_label(token: str):
         return token
 
 
-def parse_edge_list(text: "str | IO[str]") -> tuple[Graph, NodeIdMap]:
+def parse_edge_list(text: "str | IO[str]") -> tuple[Graph, list]:
     """Parse whitespace-separated edge-list text.
 
     Lines starting with '%' or '#' are comments; blank lines are skipped.
@@ -241,14 +229,14 @@ def _mm_field(line: str) -> str:
     return fld
 
 
-def _mm_graph(rows: int, i, j) -> tuple[Graph, NodeIdMap]:
+def _mm_graph(rows: int, i, j) -> tuple[Graph, list]:
     """The graph of 1-based entries (i, j); the label of node v is v + 1."""
     graph = _build_graph(rows, np.asarray(i, dtype=np.int64) - 1,
                          np.asarray(j, dtype=np.int64) - 1)
-    return graph, NodeIdMap({i: i - 1 for i in range(1, rows + 1)})
+    return graph, list(range(1, rows + 1))
 
 
-def _parse_mm_integer_body(text: str) -> "tuple[Graph, NodeIdMap] | None":
+def _parse_mm_integer_body(text: str) -> "tuple[Graph, list] | None":
     """The numpy path: a banner with a pattern or integer field, '%' comment
     lines, a 'rows cols nnz' line and nnz lines of digit tokens, each within
     1..rows.  Returns None for anything else, including any error."""
@@ -289,7 +277,7 @@ def _parse_mm_integer_body(text: str) -> "tuple[Graph, NodeIdMap] | None":
     return _mm_graph(rows, i, j)
 
 
-def parse_matrix_market(text: "str | IO[str]") -> tuple[Graph, NodeIdMap]:
+def parse_matrix_market(text: "str | IO[str]") -> tuple[Graph, list]:
     """Parse the coordinate subset of the Matrix Market format.
 
     Accepts pattern/real/integer fields with general/symmetric symmetry.

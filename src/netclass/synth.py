@@ -208,6 +208,9 @@ _SECTION_KEYS = {
     },
 }
 
+# The <key>_min/<key>_max pairs a section may hold, and their value type.
+_RANGES = {"nodes": int, "p": float, "avg_degree": float, "m": int}
+
 
 def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
     """Parse a sectioned key=value corpus spec file.
@@ -249,38 +252,20 @@ def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
         missing = required - set(get)
         if missing:
             raise ValueError(f"[{section}] missing keys: {sorted(missing)}")
-        for pair in (("p_min", "p_max"), ("avg_degree_min", "avg_degree_max")):
-            if (pair[0] in get) != (pair[1] in get):
-                raise ValueError(f"[{section}] needs both {pair[0]} and {pair[1]}")
+        for key in _RANGES:
+            if (f"{key}_min" in get) != (f"{key}_max" in get):
+                raise ValueError(f"[{section}] needs both {key}_min and {key}_max")
         try:
-            count = get.getint("count")
-            nodes = (get.getint("nodes_min"), get.getint("nodes_max"))
-            seed = get.getint("seed") if "seed" in get else derive_seed(master, idx)
-            if family == "ba":
-                spec = GeneratorSpec(
-                    family="BA",
-                    count=count,
-                    nodes_range=nodes,
-                    m_range=(get.getint("m_min"), get.getint("m_max")),
-                    master_seed=seed,
-                )
-            else:
-                p_range = avg_range = None
-                if "p_min" in get or "p_max" in get:
-                    p_range = (get.getfloat("p_min"), get.getfloat("p_max"))
-                if "avg_degree_min" in get or "avg_degree_max" in get:
-                    avg_range = (
-                        get.getfloat("avg_degree_min"),
-                        get.getfloat("avg_degree_max"),
-                    )
-                spec = GeneratorSpec(
-                    family="ER",
-                    count=count,
-                    nodes_range=nodes,
-                    p_range=p_range,
-                    avg_degree_range=avg_range,
-                    master_seed=seed,
-                )
+            spec = GeneratorSpec(
+                family=family.upper(),
+                count=get.getint("count"),
+                **{
+                    f"{key}_range": (kind(get[f"{key}_min"]), kind(get[f"{key}_max"]))
+                    for key, kind in _RANGES.items()
+                    if f"{key}_min" in get
+                },
+                master_seed=get.getint("seed") if "seed" in get else derive_seed(master, idx),
+            )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad [{section}] section: {exc}") from None
         specs.append(spec)

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, run in process through main()."""
 
+import csv
 import io
 import json
 import os
@@ -370,6 +371,26 @@ class TestFeatures:
         assert main(["features", str(manifest), "--out", str(tmp_path / "f.csv")]) == 1
         assert "no graphs" in capsys.readouterr().err
 
+    def test_names_needing_quotes_survive_every_table(self, tmp_path, corpus):
+        names = ["comma, inside", 'a "quoted" word', "two\nlines",
+                 '"all", three\nat once', "plain", 'ends in "']
+        graphs = ["ba_0000", "ba_0001", "ba_0002", "er_0006", "er_0007", "er_0008"]
+        manifest = tmp_path / "m.csv"
+        with open(manifest, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["path", "name", "category"])
+            for graph, name in zip(graphs, names):
+                writer.writerow([f"{corpus['graphs'] / graph}.edges", name, graph[:2]])
+        features, embed, cluster = (tmp_path / f for f in ("f.csv", "e.csv", "c.csv"))
+        assert main(["features", str(manifest), "--out", str(features)]) == 0
+        assert main(["embed", str(features), "--out", str(embed),
+                     "--perplexity", "1", "--iterations", "60"]) == 0
+        assert main(["cluster", str(features), "--out", str(cluster), "--k", "2"]) == 0
+        for table in (features, embed, cluster):
+            with open(table, encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert [row[0] for row in rows[1:]] == names, table.name
+
 
 class TestTrainPredict:
     def test_model_document(self, corpus, capsys):
@@ -442,6 +463,11 @@ class TestTrainPredict:
             "nested 5000 deep": (
                 '{"format":"netclass-forest","version":2,"trees":'
                 + "[" * 5000 + "]" * 5000 + "}", "not valid JSON"),
+            "NaN mean": (edited(["standardize", "means", 0], float("nan")), "finite"),
+            "infinite std": (edited(["standardize", "stds", 1], float("inf")), "finite"),
+            "std of -3": (edited(["standardize", "stds", 0], -3.0), "at least 0"),
+            "NaN threshold": (edited(["trees", 0, "threshold", 0], float("nan")), "finite"),
+            "count of -1": (edited(["trees", 0, "counts", leaf, 0], -1), "at least 0"),
         }
         for name, (text, message) in cases.items():
             bad.write_text(text, encoding="utf-8")

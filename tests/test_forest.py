@@ -94,6 +94,13 @@ class TestTrainTree:
         tree = train_tree(x, y, 1, 2, seed=0)
         assert tree.predict(np.array([0.0])) == 0
 
+    def test_non_finite_matrix_rejected(self):
+        y = np.array([0, 1, 0, 1])
+        for bad in (np.nan, np.inf):
+            x = np.array([[0.0], [bad], [1.0], [bad]])
+            with pytest.raises(ValueError, match="non-finite"):
+                train_tree(x, y, 1, 2, seed=0)
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(30, 5))

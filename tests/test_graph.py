@@ -26,8 +26,7 @@ class TestEdgeListParsing:
 
     def test_first_appearance_compaction(self):
         g, m = parse_edge_list("5 9\n9 2\n")
-        assert m.to_compact == {5: 0, 9: 1, 2: 2}
-        assert m.original_labels() == [5, 9, 2]
+        assert m == [5, 9, 2]
         assert list(g.edges()) == [(0, 1), (1, 2)]
 
     def test_duplicate_and_reversed_edges_merge(self):
@@ -38,7 +37,7 @@ class TestEdgeListParsing:
         g, m = parse_edge_list("1 1\n2 3\n")
         assert g.node_count == 2
         assert g.edge_count == 1
-        assert 1 not in m.to_compact
+        assert 1 not in m
 
     def test_weights_discarded(self):
         g, _ = parse_edge_list("1 2 3.5\n2 3 0.1\n")
@@ -52,7 +51,7 @@ class TestEdgeListParsing:
     def test_string_labels(self):
         g, m = parse_edge_list("alice bob\nbob carol\n")
         assert g.node_count == 3
-        assert m.to_compact["alice"] == 0
+        assert m[0] == "alice"
 
     def test_bad_token_count_reports_line(self):
         with pytest.raises(GraphParseError, match="line 2"):
@@ -138,9 +137,10 @@ class TestEdgeListRoundTrip:
             if g.edge_count == 0:
                 continue
             g2, m2 = parse_edge_list(write_edge_list(g))
-            # Re-parsing may renumber nodes; compare through the label map.
+            # Re-parsing may renumber nodes; compare through the label list.
+            compact = {label: v for v, label in enumerate(m2)}
             relocated = {
-                tuple(sorted((m2.to_compact[u], m2.to_compact[v])))
+                tuple(sorted((compact[u], compact[v])))
                 for u, v in g.edges()
             }
             assert g2.node_count == g.node_count - int((g.degrees() == 0).sum())
@@ -156,7 +156,7 @@ class TestMatrixMarket:
         assert g.node_count == 5
         assert g.edge_count == 3
         assert g.degrees().tolist() == [2, 2, 2, 0, 0]
-        assert m.to_compact == {i: i - 1 for i in range(1, 6)}
+        assert m == [1, 2, 3, 4, 5]
 
     def test_general_real_symmetrizes(self):
         text = (
@@ -228,12 +228,12 @@ def assert_same_parse(a, b):
     assert ga.node_count == gb.node_count and ga.edge_count == gb.edge_count
     np.testing.assert_array_equal(ga.indptr, gb.indptr)
     np.testing.assert_array_equal(ga.indices, gb.indices)
-    assert list(ma.to_compact.items()) == list(mb.to_compact.items())
+    assert ma == mb
 
 
 class TestParsePaths:
     """The numpy path and the line-by-line path give the same graph and
-    label map; a leading comment line sends any text down the second."""
+    label list; a leading comment line sends any text down the second."""
 
     FORCE = "# comment: not a digit-only line\n"
     FAST = [

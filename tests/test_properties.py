@@ -102,8 +102,7 @@ def test_order_free_features_survive_relabel(g, data):
 @PROPERTY
 @given(graphs())
 def test_parse_of_written_edge_list_gives_the_graph_back(g):
-    g2, ids = parse_edge_list(write_edge_list(g))
-    labels = ids.original_labels()
+    g2, labels = parse_edge_list(write_edge_list(g))
     assert g2.node_count == int((g.degrees() > 0).sum())
     assert sorted(tuple(sorted((labels[u], labels[v]))) for u, v in g2.edges()) \
         == list(g.edges())
