@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import os
 import sys
@@ -38,6 +37,7 @@ from .evaluate import (
 )
 from .features import (
     FEATURE_NAMES,
+    csv_records,
     csv_text,
     extract_features,
     read_features_csv,
@@ -116,9 +116,9 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, newline: "str | None" = None) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
             return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -180,9 +180,9 @@ def atomic_write(path: str, text: str) -> None:
             raise
 
 
-def _parse_file(path: str, parse):
+def _parse_file(path: str, parse, newline: "str | None" = None):
     """Return parse(text of path), naming path in any ValueError parse raises."""
-    text = _read_text(path)
+    text = _read_text(path, newline)
     try:
         return parse(text)
     except ValueError as exc:
@@ -191,12 +191,8 @@ def _parse_file(path: str, parse):
 
 def read_manifest(path: str) -> list[tuple[str, str, str]]:
     """Read (path, name, category) rows; graph paths resolve against the manifest."""
-    text = _read_text(path)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty manifest") from None
+    # Read every record inside _parse_file, so a CSV error names the file.
+    (_, header), *records = _parse_file(path, lambda text: list(csv_records(text, "manifest")), "")
     if header[:3] != ["path", "name", "category"]:
         raise ValueError(
             f"{path}: manifest header must start with path,name,category"
@@ -204,9 +200,7 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     base = os.path.dirname(os.path.abspath(path))
     rows = []
     seen = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in records:
         if len(row) < 3:
             raise ValueError(f"{path} line {lineno}: expected 3+ columns")
         graph_path, name, category = row[0], row[1], row[2]
@@ -250,7 +244,7 @@ def _read_feature_table(features_path: str, build):
             raise ValueError("feature CSV has no data rows")
         return build(names, categories, matrix)
 
-    return _parse_file(features_path, parse)
+    return _parse_file(features_path, parse, "")
 
 
 def _standardized_matrix(features_path: str):

@@ -217,17 +217,20 @@ def confusion_to_csv(cm: ConfusionMatrix) -> str:
     ))
 
 
+def _aligned(rows: list[list[str]], footer: list[str]) -> str:
+    """The rows with every cell right-aligned to the widest one, then the footer."""
+    width = max(len(cell) for row in rows for cell in row)
+    lines = [" ".join(f"{cell:>{width}}" for cell in row) for row in rows]
+    return "\n".join(lines + footer) + "\n"
+
+
 def confusion_to_text(cm: ConfusionMatrix) -> str:
-    width = max(
-        [len(s) for s in cm.label_names] + [len(str(int(cm.counts.max())))] + [4]
+    return _aligned(
+        [["true", *cm.label_names]]
+        + [[name, *(str(int(v)) for v in row)]
+           for name, row in zip(cm.label_names, cm.counts)],
+        [f"accuracy {cm.accuracy:.6f}"],
     )
-    head = " ".join(f"{s:>{width}}" for s in ("true",) + cm.label_names)
-    lines = [head]
-    for i, name in enumerate(cm.label_names):
-        cells = " ".join(f"{int(v):>{width}}" for v in cm.counts[i])
-        lines.append(f"{name:>{width}} {cells}")
-    lines.append(f"accuracy {cm.accuracy:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 def misclass_to_csv(records, label_names: tuple[str, ...]) -> str:
@@ -239,24 +242,11 @@ def misclass_to_csv(records, label_names: tuple[str, ...]) -> str:
 
 
 def overlap_to_text(report: OverlapReport) -> str:
-    width = max(
-        [len(s) for s in report.label_names]
-        + [len(str(int(report.counts.max()))) if report.counts.size else 1]
-        + [7]
+    pairs = [f"  {a} + {b} ({mass:.4f})" for a, b, mass in report.suggestions]
+    head = f"merge candidates (overlap >= {report.threshold:g})"
+    return _aligned(
+        [["cluster", *report.label_names, "purity"]]
+        + [[str(c), *(str(int(v)) for v in counts), f"{report.purity[c]:.4f}"]
+           for c, counts in enumerate(report.counts)],
+        [head + ":", *pairs] if pairs else ["no " + head],
     )
-    head = " ".join(
-        [f"{'cluster':>{width}}"]
-        + [f"{s:>{width}}" for s in report.label_names]
-        + [f"{'purity':>{width}}"]
-    )
-    lines = [head]
-    for c in range(report.counts.shape[0]):
-        cells = " ".join(f"{int(v):>{width}}" for v in report.counts[c])
-        lines.append(f"{c:>{width}} {cells} {report.purity[c]:>{width}.4f}")
-    if report.suggestions:
-        lines.append(f"merge candidates (overlap >= {report.threshold:g}):")
-        for a, b, mass in report.suggestions:
-            lines.append(f"  {a} + {b} ({mass:.4f})")
-    else:
-        lines.append(f"no merge candidates (overlap >= {report.threshold:g})")
-    return "\n".join(lines) + "\n"

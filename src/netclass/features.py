@@ -12,7 +12,7 @@ import csv
 import heapq
 import io
 from dataclasses import dataclass, fields
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -305,7 +305,26 @@ def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return out.getvalue()
+    text = out.getvalue()
+    if "\r" in text:  # csv.writer does not quote it, so a reader would end the record
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise ValueError(f"cannot write CSV line {line}: a cell holds a carriage return")
+    return text
+
+
+def csv_records(text: str, what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield the header of CSV text read with newline="" as record 1, then
+    each non-blank record with its number.  A ValueError names `what` if
+    there is no header, or the line of a record the csv module cannot read."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for n, row in enumerate(reader, start=1):
+            if row or n == 1:
+                yield n, row
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if reader.line_num == 0:
+        raise ValueError(f"empty {what}")
 
 
 def write_features_csv(
@@ -324,17 +343,12 @@ def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:
 
     The header must match the canonical layout exactly.
     """
-    reader = csv.reader(src)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty feature CSV") from None
+    records = csv_records(src.read(), "feature CSV")
+    _, header = next(records)
     if header != CSV_HEADER.split(","):
         raise ValueError(f"bad feature CSV header; expected {CSV_HEADER!r}")
     names, categories, rows = [], [], []
-    for row in reader:
-        if not row:
-            continue
+    for _, row in records:
         if len(row) != len(FEATURE_NAMES) + 2:
             raise ValueError(f"feature CSV row for {row[0]!r} has wrong arity")
         names.append(row[0])

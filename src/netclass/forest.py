@@ -263,6 +263,10 @@ def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> DecisionTree
         raise ModelFormatError(
             f"tree arrays must have one entry per node and {n_classes} counts each"
         )
+    # The int64 conversion truncates a fraction, so compare with the values read.
+    if any(not np.array_equal(np.asarray(data[name], dtype=np.float64), getattr(tree, name))
+           for name in ("feature", "left", "right", "counts")):
+        raise ModelFormatError("tree feature, left, right and counts must hold whole numbers")
     if not np.isfinite(tree.threshold).all() or (tree.counts < 0).any():
         raise ModelFormatError("tree thresholds must be finite and counts at least 0")
     if ((tree.feature < -1) | (tree.feature >= n_features)).any():

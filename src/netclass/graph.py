@@ -10,7 +10,9 @@ label of node v.  Both parsers have two paths that give the same graph and
 label list: a numpy path for text made only of lines of unsigned decimal
 integers separated by single spaces (the files `generate` writes), and a
 line-by-line path for everything else, which also produces every error
-message.
+message.  Matrix Market reads its header once, in one place; only its
+entries take one path or the other, and any line end that str.splitlines
+knows is first rewritten as "\n", so CRLF files take the numpy path too.
 """
 
 from __future__ import annotations
@@ -125,9 +127,6 @@ def from_edges(pairs: Sequence[tuple]) -> tuple[Graph, list]:
     return _build_graph(len(ids), us, vs), list(ids)
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 def _int_tokens(text: str, per_line: int) -> "np.ndarray | None":
     """All tokens of `text` as int64, if every line is `per_line` digit tokens.
 
@@ -149,7 +148,7 @@ def _int_tokens(text: str, per_line: int) -> "np.ndarray | None":
     if raw.startswith(b" ") or b"\n " in raw or b" \n" in raw or b"  " in raw:
         return None
     tokens = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if len(tokens) != per_line * lines or (tokens == _INT64_MAX).any():
+    if len(tokens) != per_line * lines or (tokens == np.iinfo(np.int64).max).any():
         return None  # np.fromstring saturates values beyond int64
     return tokens
 
@@ -236,47 +235,6 @@ def _mm_graph(rows: int, i, j) -> tuple[Graph, list]:
     return graph, list(range(1, rows + 1))
 
 
-def _parse_mm_integer_body(text: str) -> "tuple[Graph, list] | None":
-    """The numpy path: a banner with a pattern or integer field, '%' comment
-    lines, a 'rows cols nnz' line and nnz lines of digit tokens, each within
-    1..rows.  Returns None for anything else, including any error."""
-    # Every line before the entries must be printable: a character such as
-    # '\v' would end a line for str.splitlines but not for str.find.
-    start = text.find("\n") + 1
-    if not start or not text[:start - 1].isprintable():
-        return None
-    try:
-        fld = _mm_field(text[:start - 1])
-    except GraphParseError:
-        return None
-    if fld == "real":
-        return None
-    while text.startswith("%", start):
-        end = text.find("\n", start) + 1
-        if not end or not text[start:end - 1].isprintable():
-            return None
-        start = end
-    end = text.find("\n", start) + 1
-    if not end:
-        return None
-    dims = text[start:end - 1].split(" ")
-    if len(dims) != 3 or not all(d.isascii() and d.isdigit() for d in dims):
-        return None
-    rows, cols, nnz = (int(d) for d in dims)
-    if rows != cols or rows >= _INT64_MAX // 2:
-        return None
-    per_line = 2 if fld == "pattern" else 3
-    if nnz == 0:
-        return _mm_graph(rows, [], []) if end == len(text) else None
-    tokens = _int_tokens(text[end:], per_line)
-    if tokens is None or len(tokens) != per_line * nnz:
-        return None
-    i, j = tokens[0::per_line], tokens[1::per_line]
-    if min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > rows:
-        return None
-    return _mm_graph(rows, i, j)
-
-
 def parse_matrix_market(text: "str | IO[str]") -> tuple[Graph, list]:
     """Parse the coordinate subset of the Matrix Market format.
 
@@ -287,41 +245,51 @@ def parse_matrix_market(text: "str | IO[str]") -> tuple[Graph, list]:
     """
     if hasattr(text, "read"):
         text = text.read()
-    fast = _parse_mm_integer_body(text)
-    if fast is not None:
-        return fast
-    lines = text.splitlines()
-    if not lines:
-        raise GraphParseError("missing %%MatrixMarket header")
-    fld = _mm_field(lines[0])
-    want_tokens = 2 if fld == "pattern" else 3
-
-    body = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip() and not line.lstrip().startswith("%")
-    ]
-    if not body:
-        raise GraphParseError("missing dimensions line")
-    dim_lineno, dim_line = body[0]
+    # Make "\n" the only line end (str.splitlines knows nine more), then walk
+    # the banner, comments and blank lines up to the dimensions line.
+    if any(end in text for end in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        text = "\n".join(text.splitlines())
+    start, lineno, dim_line = 0, 0, ""
+    while not dim_line:
+        if start > len(text):
+            raise GraphParseError("missing dimensions line")
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line, start, lineno = text[start:end], end + 1, lineno + 1
+        if lineno == 1:
+            fld = _mm_field(line)
+        elif not line.lstrip().startswith("%"):
+            dim_line = line.strip()
     dims = dim_line.split()
     if len(dims) != 3:
-        raise GraphParseError(f"line {dim_lineno}: expected 'rows cols nnz'")
+        raise GraphParseError(f"line {lineno}: expected 'rows cols nnz'")
     try:
         rows, cols, nnz = (int(t) for t in dims)
     except ValueError:
-        raise GraphParseError(f"line {dim_lineno}: non-integer dimensions") from None
+        raise GraphParseError(f"line {lineno}: non-integer dimensions") from None
     if min(rows, cols, nnz) < 0:
-        raise GraphParseError(f"line {dim_lineno}: negative dimensions {dim_line!r}")
+        raise GraphParseError(f"line {lineno}: negative dimensions {dim_line!r}")
     if rows != cols:
-        raise GraphParseError(f"line {dim_lineno}: non-square matrix {rows}x{cols}")
-    if len(body) - 1 != nnz:
-        raise GraphParseError(
-            f"declared {nnz} entries but found {len(body) - 1}"
-        )
+        raise GraphParseError(f"line {lineno}: non-square matrix {rows}x{cols}")
+    want_tokens = 2 if fld == "pattern" else 3
 
+    tokens = _int_tokens(text[start:], want_tokens)
+    if tokens is not None and len(tokens) == want_tokens * nnz:
+        i, j = tokens[0::want_tokens], tokens[1::want_tokens]
+        if min(i.min(), j.min()) >= 1 and max(i.max(), j.max()) <= rows:
+            return _mm_graph(rows, i, j)
+
+    body = [
+        (n, line.strip())
+        for n, line in enumerate(text[start:].split("\n"), start=lineno + 1)
+        if line.strip() and not line.lstrip().startswith("%")
+    ]
+    if len(body) != nnz:
+        raise GraphParseError(
+            f"declared {nnz} entries but found {len(body)}"
+        )
     us, vs = [], []
-    for lineno, line in body[1:]:
+    for lineno, line in body:
         tokens = line.split()
         if len(tokens) != want_tokens:
             raise GraphParseError(

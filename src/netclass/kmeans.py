@@ -20,7 +20,6 @@ class ClusterResult:
     centroids: np.ndarray
     assignments: np.ndarray
     inertia: float
-    trace: tuple[float, ...]
     restart_traces: tuple[tuple[float, ...], ...]
     best_restart: int
 
@@ -101,7 +100,6 @@ def kmeans(
         centroids=centers,
         assignments=assign.astype(np.int64),
         inertia=float(inertia),
-        trace=traces[r],
         restart_traces=tuple(traces),
         best_restart=r,
     )

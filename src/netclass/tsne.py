@@ -18,6 +18,7 @@ from .seeding import make_rng
 EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
 ENTROPY_TOL_BITS = 1e-5
+BISECTION_STEPS = 200
 _EPS = 1e-12
 _DIVERGED = "optimization diverged; lower the learning rate"
 
@@ -51,12 +52,12 @@ def _row_affinities(d2_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]
 
 
 def conditional_affinities(
-    d2: np.ndarray, perplexity: float, max_steps: int = 200
+    d2: np.ndarray, perplexity: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row conditional probabilities with entropy matched to log2(perplexity).
 
     Each row's Gaussian precision is found by bisection until the row entropy
-    (in bits) is within 1e-5 of the target, or the step budget runs out.
+    (in bits) is within 1e-5 of the target, or BISECTION_STEPS steps run out.
     Returns (P_conditional with zero diagonal, achieved entropies in bits).
     """
     n = d2.shape[0]
@@ -67,7 +68,7 @@ def conditional_affinities(
         row = np.delete(d2[i], i)
         beta, lo, hi = 1.0, 0.0, np.inf
         entropy, p = _row_affinities(row, beta)
-        for _ in range(max_steps):
+        for _ in range(BISECTION_STEPS):
             if abs(entropy - target) <= ENTROPY_TOL_BITS:
                 break
             if entropy > target:

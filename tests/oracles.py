@@ -287,3 +287,83 @@ def cart_tree(x, y, features_per_split, min_split, seed, n_classes):
         np.array(right, dtype=np.int64),
         np.array(counts, dtype=np.int64),
     )
+
+
+def parse_matrix_market(text):
+    """The reference for graph.parse_matrix_market: the parent release's line
+    path, which produced every result and message its numpy path did not.
+
+    Returns (node count, sorted (u, v) edges with u < v, label list), or
+    raises ValueError with the package's message.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("missing %%MatrixMarket header")
+    banner = lines[0]
+    if not banner.startswith("%%MatrixMarket"):
+        raise ValueError("missing %%MatrixMarket header")
+    header = banner.split()
+    if len(header) != 5 or header[1].lower() != "matrix":
+        raise ValueError(f"malformed header: {banner!r}")
+    fmt, fld, sym = (h.lower() for h in header[2:5])
+    if fmt != "coordinate":
+        raise ValueError(f"unsupported format {fmt!r} (coordinate only)")
+    if fld not in ("pattern", "real", "integer"):
+        raise ValueError(f"unsupported field {fld!r}")
+    if sym not in ("general", "symmetric"):
+        raise ValueError(f"unsupported symmetry {sym!r}")
+    want_tokens = 2 if fld == "pattern" else 3
+
+    body = [
+        (lineno, line.strip())
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip() and not line.lstrip().startswith("%")
+    ]
+    if not body:
+        raise ValueError("missing dimensions line")
+    dim_lineno, dim_line = body[0]
+    dims = dim_line.split()
+    if len(dims) != 3:
+        raise ValueError(f"line {dim_lineno}: expected 'rows cols nnz'")
+    try:
+        rows, cols, nnz = (int(t) for t in dims)
+    except ValueError:
+        raise ValueError(f"line {dim_lineno}: non-integer dimensions") from None
+    if min(rows, cols, nnz) < 0:
+        raise ValueError(f"line {dim_lineno}: negative dimensions {dim_line!r}")
+    if rows != cols:
+        raise ValueError(f"line {dim_lineno}: non-square matrix {rows}x{cols}")
+    if len(body) - 1 != nnz:
+        raise ValueError(f"declared {nnz} entries but found {len(body) - 1}")
+
+    edges = set()
+    for lineno, line in body[1:]:
+        tokens = line.split()
+        if len(tokens) != want_tokens:
+            raise ValueError(
+                f"line {lineno}: expected {want_tokens} tokens, got {len(tokens)}"
+            )
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer index") from None
+        if not (1 <= i <= rows and 1 <= j <= rows):
+            raise ValueError(
+                f"line {lineno}: index ({i},{j}) outside declared range 1..{rows}"
+            )
+        if i != j:
+            edges.add((min(i, j) - 1, max(i, j) - 1))
+    return rows, sorted(edges), list(range(1, rows + 1))
+
+
+def matrix_market_outcome(parse, text):
+    """parse(text) as (node count, edges, labels), or its ValueError message,
+    for either graph.parse_matrix_market or the reference above."""
+    try:
+        result = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result[0], int):  # the reference
+        return result
+    g, labels = result
+    return g.node_count, list(g.edges()), labels

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from netclass.cli import SEED_ENV_VAR, main
-from netclass.features import read_features_csv
+from netclass.features import CSV_HEADER, FEATURE_NAMES, read_features_csv
 
 SPEC = """\
 [corpus]
@@ -129,7 +129,23 @@ BAD_SETTINGS = [
     ("generate", ["--out-dir", "afile"], "cannot write afile: File exists"),
     ("evaluate", ["--out-dir", "afile/reports"], "cannot write afile/reports: Not a directory"),
     ("train", ["--model-out", "work"], "cannot write work: Is a directory"),
+    # Inputs from BAD_INPUTS: a CSV field past the csv module's size limit,
+    # and a quoted carriage return, which csv.writer would leave unquoted.
+    ("features", [], "long_name.csv: line 2: field larger than field limit (131072)"),
+    ("train", [], "long_name_features.csv: line 2: field larger than field limit (131072)"),
+    ("features", [], "cannot write CSV line 2: a cell holds a carriage return"),
 ]
+# A case whose message is a key here reads this input in place of the one in
+# INPUTS.  It is written beside the corpus, so its graph paths resolve.
+BAD_INPUTS = {
+    BAD_SETTINGS[-3][2]: (
+        "long_name.csv", f"path,name,category\ngraphs/ba_0000.edges,{'n' * 200_000},BA\n"),
+    BAD_SETTINGS[-2][2]: (
+        "long_name_features.csv",
+        f"{CSV_HEADER}\n{'n' * 200_000},BA,{','.join(['1'] * len(FEATURE_NAMES))}\n"),
+    BAD_SETTINGS[-1][2]: (
+        "cr_name.csv", 'path,name,category\ngraphs/ba_0000.edges,"x\ry",BA\n'),
+}
 
 
 @pytest.mark.parametrize("command,flags,message", BAD_SETTINGS)
@@ -140,6 +156,10 @@ def test_out_of_range_setting_exits_1_and_writes_nothing(
     (tmp_path / "work").mkdir()
     (tmp_path / "afile").write_text("", encoding="utf-8")
     source = corpus["root"] / INPUTS.get(command, "features.csv")
+    if message in BAD_INPUTS:
+        filename, text = BAD_INPUTS[message]
+        source = corpus["root"] / filename
+        source.write_text(text, encoding="utf-8", newline="")
     code = main([command, str(source)] + OUT_FLAGS[command] + flags)
     assert code == 1
     err = capsys.readouterr().err
@@ -371,6 +391,16 @@ class TestFeatures:
         assert main(["features", str(manifest), "--out", str(tmp_path / "f.csv")]) == 1
         assert "no graphs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_manifest_line_ends_never_change_bytes(self, tmp_path, corpus, end):
+        lines = read(corpus["graphs"] / "manifest.csv").splitlines()
+        rows = [lines[0]] + [os.path.join(corpus["graphs"], line) for line in lines[1:]]
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(end.join(rows) + end, encoding="utf-8", newline="")
+        out = tmp_path / "f.csv"
+        assert main(["features", str(manifest), "--out", str(out)]) == 0
+        assert out.read_bytes() == corpus["features"].read_bytes()
+
     def test_names_needing_quotes_survive_every_table(self, tmp_path, corpus):
         names = ["comma, inside", 'a "quoted" word', "two\nlines",
                  '"all", three\nat once', "plain", 'ends in "']
@@ -468,6 +498,15 @@ class TestTrainPredict:
             "std of -3": (edited(["standardize", "stds", 0], -3.0), "at least 0"),
             "NaN threshold": (edited(["trees", 0, "threshold", 0], float("nan")), "finite"),
             "count of -1": (edited(["trees", 0, "counts", leaf, 0], -1), "at least 0"),
+            "fractional feature index": (
+                edited(["trees", 0, "feature", 0], good["trees"][0]["feature"][0] + 0.5),
+                "whole numbers"),
+            "fractional child index": (
+                edited(["trees", 0, "left", 0], good["trees"][0]["left"][0] + 0.5),
+                "whole numbers"),
+            "fractional count": (
+                edited(["trees", 0, "counts", leaf, 0], good["trees"][0]["counts"][leaf][0] + 0.5),
+                "whole numbers"),
         }
         for name, (text, message) in cases.items():
             bad.write_text(text, encoding="utf-8")

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import netclass.graph
+import oracles
 from netclass import extract_features, parse_edge_list
 from netclass.graph import (
     GraphParseError,
     _int_tokens,
-    _parse_mm_integer_body,
     from_edges,
     parse_matrix_market,
     relabel,
@@ -231,6 +232,20 @@ def assert_same_parse(a, b):
     assert ma == mb
 
 
+def spy_on_entries(monkeypatch):
+    """The type of the row indices each _mm_graph call gets: an ndarray from
+    the numpy path, a list from the line loop."""
+    seen = []
+    build = netclass.graph._mm_graph
+
+    def spy(rows, i, j):
+        seen.append(type(i))
+        return build(rows, i, j)
+
+    monkeypatch.setattr(netclass.graph, "_mm_graph", spy)
+    return seen
+
+
 class TestParsePaths:
     """The numpy path and the line-by-line path give the same graph and
     label list; a leading comment line sends any text down the second."""
@@ -288,11 +303,13 @@ class TestParsePaths:
     ]
 
     @pytest.mark.parametrize("head,entries", MM_FAST)
-    def test_matrix_market_paths_agree(self, head, entries):
+    def test_matrix_market_paths_agree(self, head, entries, monkeypatch):
         general = head + "% comment among the entries\n" + entries
-        assert _parse_mm_integer_body(head + entries) is not None
-        assert _parse_mm_integer_body(general) is None
-        assert_same_parse(parse_matrix_market(head + entries), parse_matrix_market(general))
+        seen = spy_on_entries(monkeypatch)
+        fast, slow = parse_matrix_market(head + entries), parse_matrix_market(general)
+        # With no entries there is nothing for numpy to read.
+        assert seen == [np.ndarray if entries else list, list]
+        assert_same_parse(fast, slow)
 
     @pytest.mark.parametrize("text", [
         HEAD.format("real", "general") + "3 3 1\n1 2 0.5\n",
@@ -301,8 +318,11 @@ class TestParsePaths:
         HEAD.format("pattern", "general") + "3 3 1\n1 4\n",  # out of range
         HEAD.format("pattern", "general") + "% a\x0bb\n3 3 1\n1 2\n",
     ])
-    def test_matrix_market_line_path_inputs(self, text):
-        assert _parse_mm_integer_body(text) is None
+    def test_matrix_market_line_path_inputs(self, text, monkeypatch):
+        seen = spy_on_entries(monkeypatch)
+        outcome = oracles.matrix_market_outcome(parse_matrix_market, text)
+        assert np.ndarray not in seen
+        assert outcome == oracles.matrix_market_outcome(oracles.parse_matrix_market, text)
 
     def test_memory_bounded(self):
         # An integer edge list with 2e5 edges is about 2 MiB of text; parsing
@@ -319,3 +339,20 @@ class TestParsePaths:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_matrix_market_memory_bounded(self):
+        # A pattern Matrix Market text with 2e5 entries is about 2.2 MiB;
+        # parsing it and extracting all features peaks near 19 MiB of traced
+        # memory.  Splitting the whole text into lines up front would keep
+        # a string object per line and pass 25 MiB.
+        rng = np.random.default_rng(3)
+        pairs = rng.integers(1, 40001, size=(200000, 2))
+        text = (self.HEAD.format("pattern", "general") + "40000 40000 200000\n"
+                + ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
+        tracemalloc.start()
+        try:
+            extract_features(parse_matrix_market(text)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 23 * 2**20

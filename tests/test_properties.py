@@ -5,7 +5,8 @@ same degree, plus a few random edges), so the (degree, id) tie-breaking of
 the peel order is exercised on almost every example.  They are built
 through Matrix Market text, which keeps isolated nodes.  Tree tables are
 drawn from a few values per column, so equal values, equal gains and cuts
-that do not exist are common.
+that do not exist are common.  Matrix Market texts use every line end that
+str.splitlines knows and are compared with a copy of the earlier reader.
 """
 
 import math
@@ -142,3 +143,64 @@ def test_train_tree_matches_reference_split_search(table):
     for name, want in zip(TREE_ARRAYS, expected):
         got = getattr(tree, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+# Every line end str.splitlines knows; "\r\n" counts as one.
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """Matrix Market texts with one kind of line end throughout.  About half
+    are well formed; the rest break one thing: the banner, the dimensions, an
+    entry, or a line, with a stray line end of another kind."""
+    fault = draw(st.sampled_from([None, None, None, "banner", "dims", "entry", "stray"]))
+
+    def pick(fine, broken, broken_in):
+        return draw(st.sampled_from(broken if fault == broken_in else fine))
+
+    fld = draw(st.sampled_from(["pattern", "integer", "real"]))
+    banner = pick(
+        ["%%MatrixMarket matrix coordinate {} general",
+         "%%MatrixMarket matrix coordinate {} symmetric",
+         "%%MatrixMarket Matrix Coordinate {} General  "],
+        [" %%MatrixMarket matrix coordinate {} general",
+         "%%MatrixMarket matrix array {} general",
+         "%%MatrixMarket matrix coordinate complex general",
+         "%%MatrixMarket vector coordinate {} general", ""],
+        "banner").format(fld)
+    filler = st.lists(st.sampled_from(["% note", "", "  ", " % indented", "%"]), max_size=2)
+    n = draw(st.integers(1, 5))
+    width = 2 if fld == "pattern" else 3
+    values = ["3", "0.5", "-2e3"] if fld == "real" else ["3", "0", "12"]
+    loose = draw(st.booleans())  # a leading space or a comment among the entries
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = [str(draw(st.integers(1, n))) for _ in range(2)]
+        tokens += [draw(st.sampled_from(values)) for _ in range(width - 2)]
+        entries.append(draw(st.sampled_from(["", " "] if loose else [""])) + " ".join(tokens))
+    if fault == "entry":
+        bad = draw(st.sampled_from(["0 1", f"{n + 1} 1", "x 1", "+1 1", "1", "1 2 3 4",
+                                    "-1 1", "1\t1", "007 1 1"]))
+        entries.insert(draw(st.integers(0, len(entries))), bad)
+    if loose:
+        entries.insert(draw(st.integers(0, len(entries))), "".join(draw(filler)))
+    nnz = sum(1 for e in entries if e.strip() and not e.lstrip().startswith("%"))
+    dims = pick(["{0} {0} {1}", "{0}  {0} {1}", " {0} {0} {1}", "{0}\t{0}\t{1} "],
+                ["{0} {0}", "{0} {0} {1} 1", "{0} {0}x {1}", "{0} 9 {1}",
+                 "-{0} -{0} {1}", "{0} {0} {2}"],
+                "dims").format(n, nnz, nnz + 1)
+    end = draw(st.sampled_from(LINE_ENDS))
+    text = end.join([banner, *draw(filler), dims, *entries])
+    text += draw(st.sampled_from([end, end, ""]))
+    if fault == "stray":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(LINE_ENDS)) + text[at:]
+    return text
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(matrix_market_texts())
+def test_matrix_market_matches_reference_reader(text):
+    assert oracles.matrix_market_outcome(parse_matrix_market, text) \
+        == oracles.matrix_market_outcome(oracles.parse_matrix_market, text)
