@@ -313,14 +313,17 @@ def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
 
 
 def csv_records(text: str, what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield the header of CSV text read with newline="" as record 1, then
-    each non-blank record with its number.  A ValueError names `what` if
-    there is no header, or the line of a record the csv module cannot read."""
+    """Yield the header of CSV text read with newline="" as line 1, then
+    each non-blank record with the physical line it starts on (a quoted
+    field may span lines).  A ValueError names `what` if there is no
+    header, or the line of a record the csv module cannot read."""
     reader = csv.reader(io.StringIO(text, newline=""))
+    start = 1
     try:
-        for n, row in enumerate(reader, start=1):
-            if row or n == 1:
-                yield n, row
+        for row in reader:
+            if row or start == 1:
+                yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
     if reader.line_num == 0:

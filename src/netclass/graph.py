@@ -17,6 +17,7 @@ knows is first rewritten as "\n", so CRLF files take the numpy path too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
@@ -209,6 +210,8 @@ def parse_edge_list(text: "str | IO[str]") -> tuple[Graph, list]:
 
 _MM_FIELDS = ("pattern", "real", "integer")
 _MM_SYMMETRIES = ("general", "symmetric")
+# _build_graph keys an edge (lo, hi) as lo * n + hi in int64.
+MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 
 def _mm_field(line: str) -> str:
@@ -271,6 +274,8 @@ def parse_matrix_market(text: "str | IO[str]") -> tuple[Graph, list]:
         raise GraphParseError(f"line {lineno}: negative dimensions {dim_line!r}")
     if rows != cols:
         raise GraphParseError(f"line {lineno}: non-square matrix {rows}x{cols}")
+    if rows > MAX_NODES:
+        raise GraphParseError(f"line {lineno}: {rows} rows exceed the limit of {MAX_NODES}")
     want_tokens = 2 if fld == "pattern" else 3
 
     tokens = _int_tokens(text[start:], want_tokens)

@@ -5,6 +5,12 @@ iteration; intended for corpora of a few hundred rows.  Optimization is
 plain gradient descent with momentum (0.5 for the first 250 iterations,
 0.8 after), early exaggeration x12 over the first 250 iterations, and a
 fixed learning rate.  No adaptive per-parameter gains are used.
+
+A step computes only the gradient, in two N x N buffers allocated once per
+run; the KL divergence is computed only at the trace points.  Every buffered
+operation is the one the plain array expression performs, in the same order,
+so the points and the trace are bit-for-bit those of a run that allocates
+fresh arrays and computes the KL on every step.
 """
 
 from __future__ import annotations
@@ -30,11 +36,25 @@ class Embedding:
     kl_trace: tuple[tuple[int, float], ...]
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+# A pair of N x N float64 arrays for the functions below to compute in.
+Work = tuple[np.ndarray, np.ndarray]
+
+
+def _buffers(n: int) -> Work:
+    return np.empty((n, n)), np.empty((n, n))
+
+
+def _pairwise_sq_dists(x: np.ndarray, work: Work | None = None) -> np.ndarray:
+    """Squared distances between the rows of x, zero on the diagonal, written
+    into work[0]; work[1] is overwritten."""
+    d2, scratch = _buffers(len(x)) if work is None else work
     sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.matmul(x, x.T, out=d2)
+    np.multiply(d2, 2.0, out=d2)
+    np.add(sq[:, None], sq[None, :], out=scratch)
+    np.subtract(scratch, d2, out=d2)
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _row_affinities(d2_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
@@ -90,21 +110,38 @@ def joint_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum((p_cond + p_cond.T) / (2.0 * n), _EPS)
 
 
-def kl_and_grad(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL(P || Q) and its gradient for low-dimensional positions y.
-
-    Q uses the Student-t kernel 1/(1+d^2); the gradient is
-    4 * sum_j (p_ij - q_ij) * (1+d_ij^2)^-1 * (y_i - y_j).
-    """
-    d2 = _pairwise_sq_dists(y)
-    num = 1.0 / (1.0 + d2)
+def _student_q(y: np.ndarray, work: Work | None) -> Work:
+    """The Student-t kernel 1/(1+d^2) between the rows of y, zero on the
+    diagonal, and Q = max(kernel / sum(kernel), 1e-12), written into work."""
+    num, q = _buffers(len(y)) if work is None else work
+    d2 = _pairwise_sq_dists(y, (q, num))
+    np.add(d2, 1.0, out=d2)
+    np.divide(1.0, d2, out=num)
     np.fill_diagonal(num, 0.0)
-    q = np.maximum(num / num.sum(), _EPS)
+    np.divide(num, num.sum(), out=q)
+    np.maximum(q, _EPS, out=q)
+    return num, q
+
+
+def kl_divergence(p: np.ndarray, y: np.ndarray, work: Work | None = None) -> float:
+    """KL(P || Q) for low-dimensional positions y, Q from the Student-t kernel;
+    work is overwritten."""
+    _, q = _student_q(y, work)
     mask = p > _EPS
-    kl = float((p[mask] * np.log(p[mask] / q[mask])).sum())
-    w = (p - q) * num
-    grad = 4.0 * (y * w.sum(axis=1)[:, None] - w @ y)
-    return kl, grad
+    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+
+
+def kl_gradient(p: np.ndarray, y: np.ndarray, work: Work | None = None) -> np.ndarray:
+    """Gradient of KL(P || Q) with respect to the positions y:
+    4 * sum_j (p_ij - q_ij) * (1+d_ij^2)^-1 * (y_i - y_j).
+
+    work is overwritten; tsne passes the same pair to every step, so a step
+    allocates no N x N array.
+    """
+    num, w = _student_q(y, work)
+    np.subtract(p, w, out=w)
+    np.multiply(w, num, out=w)
+    return 4.0 * (y * w.sum(axis=1)[:, None] - w @ y)
 
 
 def tsne(
@@ -134,6 +171,8 @@ def tsne(
     if not learning_rate > 0.0:
         raise ValueError(f"learning rate must be positive, got {learning_rate:g}")
     p = joint_affinities(_pairwise_sq_dists(x), perplexity)
+    p_exaggerated = p * EXAGGERATION
+    work = _buffers(n)
     rng = make_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
@@ -145,14 +184,13 @@ def tsne(
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, iterations + 1):
                 exaggerated = it <= EXAGGERATION_ITERS
-                p_eff = p * EXAGGERATION if exaggerated else p
-                _, grad = kl_and_grad(p_eff, y)
+                grad = kl_gradient(p_exaggerated if exaggerated else p, y, work)
                 momentum = 0.5 if exaggerated else 0.8
                 velocity = momentum * velocity - learning_rate * grad
                 y = y + velocity
                 y = y - y.mean(axis=0)
                 if it % 50 == 0 or it == EXAGGERATION_ITERS or it == iterations:
-                    kl, _ = kl_and_grad(p, y)
+                    kl = kl_divergence(p, y, work)
                     trace.append((it, kl))
     except FloatingPointError:
         raise ValueError(_DIVERGED) from None

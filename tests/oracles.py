@@ -367,3 +367,56 @@ def matrix_market_outcome(parse, text):
         return result
     g, labels = result
     return g.node_count, list(g.edges()), labels
+
+
+def _sq_dists(y):
+    sq = (y * y).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def kl_and_grad(p, y):
+    """KL(P || Q) and its gradient for positions y, fused as the parent
+    release computed them: every N x N intermediate a fresh array."""
+    num = 1.0 / (1.0 + _sq_dists(y))
+    np.fill_diagonal(num, 0.0)
+    q = np.maximum(num / num.sum(), 1e-12)
+    mask = p > 1e-12
+    kl = float((p[mask] * np.log(p[mask] / q[mask])).sum())
+    w = (p - q) * num
+    grad = 4.0 * (y * w.sum(axis=1)[:, None] - w @ y)
+    return kl, grad
+
+
+def tsne_reference(p, iterations, learning_rate, seed):
+    """The reference for tsne.tsne given its joint affinities p: the parent
+    release's loop, which computes the fused KL and gradient on every step.
+
+    Returns (points, kl, kl_trace), or raises the package's ValueError when
+    the run diverges.  The start draws the same PCG64 stream
+    (numpy.random.default_rng(seed), seed >= 0).
+    """
+    message = "optimization diverged; lower the learning rate"
+    y = np.random.default_rng(seed).normal(0.0, 1e-4, size=(p.shape[0], 2))
+    velocity = np.zeros_like(y)
+    trace = []
+    kl = float("nan")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for it in range(1, iterations + 1):
+                exaggerated = it <= 250
+                p_eff = p * 12.0 if exaggerated else p
+                _, grad = kl_and_grad(p_eff, y)
+                momentum = 0.5 if exaggerated else 0.8
+                velocity = momentum * velocity - learning_rate * grad
+                y = y + velocity
+                y = y - y.mean(axis=0)
+                if it % 50 == 0 or it == 250 or it == iterations:
+                    kl, _ = kl_and_grad(p, y)
+                    trace.append((it, kl))
+    except FloatingPointError:
+        raise ValueError(message) from None
+    if not np.isfinite(y).all() or not np.isfinite(kl):
+        raise ValueError(message)
+    return y, kl, tuple(trace)

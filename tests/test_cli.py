@@ -134,17 +134,22 @@ BAD_SETTINGS = [
     ("features", [], "long_name.csv: line 2: field larger than field limit (131072)"),
     ("train", [], "long_name_features.csv: line 2: field larger than field limit (131072)"),
     ("features", [], "cannot write CSV line 2: a cell holds a carriage return"),
+    # A bad record after a quoted name that spans two lines: its physical line.
+    ("features", [], "two_line_name.csv line 4: expected 3+ columns"),
 ]
 # A case whose message is a key here reads this input in place of the one in
 # INPUTS.  It is written beside the corpus, so its graph paths resolve.
 BAD_INPUTS = {
-    BAD_SETTINGS[-3][2]: (
+    BAD_SETTINGS[-4][2]: (
         "long_name.csv", f"path,name,category\ngraphs/ba_0000.edges,{'n' * 200_000},BA\n"),
-    BAD_SETTINGS[-2][2]: (
+    BAD_SETTINGS[-3][2]: (
         "long_name_features.csv",
         f"{CSV_HEADER}\n{'n' * 200_000},BA,{','.join(['1'] * len(FEATURE_NAMES))}\n"),
-    BAD_SETTINGS[-1][2]: (
+    BAD_SETTINGS[-2][2]: (
         "cr_name.csv", 'path,name,category\ngraphs/ba_0000.edges,"x\ry",BA\n'),
+    BAD_SETTINGS[-1][2]: (
+        "two_line_name.csv",
+        'path,name,category\ngraphs/ba_0000.edges,"two\nlines",BA\ngraphs/ba_0001.edges\n'),
 }
 
 
@@ -355,6 +360,25 @@ class TestFeatures:
         assert "gone" in err
         names, _, _ = read_features_csv(io.StringIO(read(out)))
         assert names == ["ok"]
+
+    @pytest.mark.parametrize("command", ["features", "predict"])
+    def test_oversized_matrix_market_fails_one_graph(self, tmp_path, corpus, capsys, command):
+        # 10**18 rows: an allocation that size is refused at once, never filled.
+        huge = tmp_path / "huge.mtx"
+        huge.write_text("%%MatrixMarket matrix coordinate pattern general\n"
+                        f"{10**18} {10**18} 0\n", encoding="utf-8")
+        good = corpus["graphs"] / "ba_0000.edges"
+        out = tmp_path / "out.csv"
+        if command == "features":
+            manifest = tmp_path / "m.csv"
+            manifest.write_text(f"path,name,category\n{good},ok,BA\n{huge},huge,BA\n",
+                                encoding="utf-8")
+            argv = ["features", str(manifest), "--out", str(out)]
+        else:
+            argv = ["predict", str(corpus["model"]), str(good), str(huge), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{huge}: line 2: {10**18} rows exceed the limit" in capsys.readouterr().err
+        assert len(read(out).splitlines()) == 2
 
     def test_matrix_market_input(self, tmp_path):
         mtx = tmp_path / "tri.mtx"

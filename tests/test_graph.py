@@ -9,6 +9,7 @@ import netclass.graph
 import oracles
 from netclass import extract_features, parse_edge_list
 from netclass.graph import (
+    MAX_NODES,
     GraphParseError,
     _int_tokens,
     from_edges,
@@ -210,6 +211,11 @@ class TestMatrixMarket:
     def test_negative_dimensions_rejected(self, dims):
         with pytest.raises(GraphParseError, match="line 2: negative dimensions"):
             parse_matrix_market(self.HEADER + dims + "\n")
+
+    @pytest.mark.parametrize("rows", [MAX_NODES + 1, 10**18])
+    def test_oversized_dimension_rejected_before_allocating(self, rows):
+        with pytest.raises(GraphParseError, match=f"line 2: {rows} rows exceed the limit"):
+            parse_matrix_market(self.HEADER + f"{rows} {rows} 0\n")
 
     def test_entry_count_mismatch(self):
         with pytest.raises(GraphParseError, match="declared 3"):

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the graph core, the feature kernels and the trees.
+"""Hypothesis properties of the graph core, the feature kernels, the trees
+and t-SNE.
 
 Graphs are drawn small and tie-heavy (circulants, where every node has the
 same degree, plus a few random edges), so the (degree, id) tie-breaking of
@@ -7,6 +8,8 @@ through Matrix Market text, which keeps isolated nodes.  Tree tables are
 drawn from a few values per column, so equal values, equal gains and cuts
 that do not exist are common.  Matrix Market texts use every line end that
 str.splitlines knows and are compared with a copy of the earlier reader.
+t-SNE runs are compared byte for byte with a loop that computes the fused
+KL and gradient on every step.
 """
 
 import math
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
@@ -34,6 +37,7 @@ from netclass.graph import (  # noqa: E402
     relabel,
     write_edge_list,
 )
+from netclass.tsne import _pairwise_sq_dists, joint_affinities, tsne  # noqa: E402
 
 # Deterministic example generation and no example database on disk, so a
 # run leaves no files and every run checks the same examples.
@@ -204,3 +208,48 @@ def matrix_market_texts(draw):
 def test_matrix_market_matches_reference_reader(text):
     assert oracles.matrix_market_outcome(parse_matrix_market, text) \
         == oracles.matrix_market_outcome(oracles.parse_matrix_market, text)
+
+
+def _exact(run):
+    """run()'s (points, kl, kl_trace) with every float as its exact bytes, or
+    the message of the ValueError it raises."""
+    try:
+        points, kl, trace = run()
+    except ValueError as exc:
+        return str(exc)
+    return points.tobytes(), kl.hex(), [(it, value.hex()) for it, value in trace]
+
+
+@st.composite
+def tsne_runs(draw):
+    n = draw(st.integers(5, 40))
+    x = np.random.default_rng(draw(st.integers(0, 2**32))).normal(
+        size=(n, draw(st.integers(1, 4))))
+    x[: draw(st.integers(0, 2))] = x[-1]  # repeated rows
+    perplexity = draw(st.floats(1.0, (n - 1) / 3.0, exclude_max=True))
+    iterations = draw(st.integers(1, 330))
+    learning_rate = draw(st.floats(10.0, 1000.0))
+    return x, perplexity, iterations, learning_rate, draw(st.integers(0, 2**32))
+
+
+# Iteration counts below, at and above the end of early exaggeration (250),
+# off the 50-step trace grid, and learning rates that overflow float64.
+@PROPERTY
+@given(tsne_runs())
+@example((np.arange(24.0).reshape(8, 3), 2.0, 137, 200.0, 1))
+@example((np.arange(24.0).reshape(8, 3), 2.0, 250, 200.0, 2))
+@example((np.arange(30.0).reshape(10, 3) ** 0.5, 2.5, 263, 800.0, 3))
+@example((np.arange(24.0).reshape(8, 3), 2.0, 60, 1e300, 4))
+@example((np.arange(24.0).reshape(8, 3), 2.0, 60, float("inf"), 5))
+def test_tsne_matches_reference_loop_byte_for_byte(run):
+    x, perplexity, iterations, learning_rate, seed = run
+    p = joint_affinities(_pairwise_sq_dists(x), perplexity)
+
+    def package():
+        emb = tsne(x, perplexity, iterations, learning_rate, seed)
+        return emb.points, emb.kl, emb.kl_trace
+
+    got = _exact(package)
+    assert got == _exact(lambda: oracles.tsne_reference(p, iterations, learning_rate, seed))
+    if learning_rate > 1e299:
+        assert got == "optimization diverged; lower the learning rate"
