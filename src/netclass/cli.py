@@ -122,6 +122,8 @@ def _read_text(path: str, newline: "str | None" = None) -> str:
             return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -380,12 +382,13 @@ def cmd_cluster(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = None
     if args.overlap_out:
         # Built before any file is written, so a bad threshold writes nothing.
-        label_names = tuple(sorted({categories[i] for i in labeled}))
-        lookup = {c: j for j, c in enumerate(label_names)}
+        rows = Dataset.from_feature_table(
+            [names[i] for i in labeled], [categories[i] for i in labeled], matrix[labeled]
+        )
         report = cluster_category_overlap(
             result.assignments[labeled],
-            np.array([lookup[categories[i]] for i in labeled]),
-            label_names,
+            rows.labels,
+            rows.label_names,
             n_clusters=cfg.kmeans_k,
             threshold=cfg.overlap_threshold,
         )

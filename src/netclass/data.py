@@ -123,12 +123,9 @@ def _apply_log(x: np.ndarray, log_flags: tuple[bool, ...]) -> np.ndarray:
 def apply_standardize(params: StandardizeParams, matrix: np.ndarray) -> np.ndarray:
     """Apply fitted parameters to a matrix (rows need not be the fit rows)."""
     x = np.asarray(matrix, dtype=np.float64)
-    one_row = x.ndim == 1
-    if one_row:
-        x = x[None, :]
-    if x.shape[1] != len(params.means):
+    if x.ndim != 2 or x.shape[1] != len(params.means):
         raise ValueError(
-            f"matrix has {x.shape[1]} columns, params expect {len(params.means)}"
+            f"need a 2-D matrix of {len(params.means)} columns, got shape {x.shape}"
         )
     if not np.isfinite(x).all():
         raise ValueError("matrix contains non-finite values")
@@ -138,4 +135,4 @@ def apply_standardize(params: StandardizeParams, matrix: np.ndarray) -> np.ndarr
     safe = np.where(stds > 0.0, stds, 1.0)
     out = (x - means) / safe
     out[:, stds == 0.0] = 0.0
-    return out[0] if one_row else out
+    return out

@@ -86,10 +86,6 @@ class ConfusionMatrix:
     def accuracy(self) -> float:
         return float(np.trace(self.counts) / self.counts.sum())
 
-    @property
-    def off_diagonal_total(self) -> int:
-        return int(self.counts.sum() - np.trace(self.counts))
-
 
 @dataclass(frozen=True)
 class MisclassRecord:

@@ -58,11 +58,13 @@ class CoreDecomposition:
     Node peel_order[i] is the i-th node removed.  The graph oriented along
     that order is held in compressed rows over peel positions:
     later[later_ptr[i]:later_ptr[i + 1]] are the positions j > i of the
-    neighbors of peel_order[i], ascending.
+    neighbors of peel_order[i], ascending, and later_keys holds each such
+    pair (i, j) once as i * n + j, sorted.
     """
 
     core_numbers: np.ndarray
     peel_order: np.ndarray
+    later_keys: np.ndarray
     later_ptr: np.ndarray
     later: np.ndarray
 
@@ -179,8 +181,8 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
             d -= 1  # every neighbor had degree >= d
     del buckets, deg  # the stale heap entries
     peel = np.array(order, dtype=np.int64)
-    _, later_ptr, later = _oriented(g, _positions(peel))
-    return CoreDecomposition(np.array(core, dtype=np.int64), peel, later_ptr, later)
+    keys, later_ptr, later = _oriented(g, _positions(peel))
+    return CoreDecomposition(np.array(core, dtype=np.int64), peel, keys, later_ptr, later)
 
 
 def assortativity(g: Graph) -> float:
@@ -215,8 +217,7 @@ def clique_lower_bound(g: Graph, decomp: CoreDecomposition) -> int:
     n = g.node_count
     if n == 0:
         return 0
-    ptr, later = decomp.later_ptr, decomp.later
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) * n + later  # sorted
+    keys, ptr, later = decomp.later_keys, decomp.later_ptr, decomp.later
     rows = np.flatnonzero(np.diff(ptr))  # peel positions with a later neighbor
     size = np.ones(len(rows), dtype=np.int64)
     taken = []  # taken[s][r]: the neighbor row r took at step s, or -1

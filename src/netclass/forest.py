@@ -74,8 +74,8 @@ class DecisionTree:
     right: np.ndarray
     counts: np.ndarray
 
-    def leaves(self, xs: np.ndarray) -> np.ndarray:
-        """Leaf index reached by each row of a matrix."""
+    def predict(self, xs: np.ndarray) -> np.ndarray:
+        """Class of each row of a matrix."""
         node = np.zeros(len(xs), dtype=np.int64)
         live = np.nonzero(self.feature[node] >= 0)[0]
         while live.size:
@@ -83,13 +83,7 @@ class DecisionTree:
             go_left = xs[live, self.feature[at]] <= self.threshold[at]
             node[live] = np.where(go_left, self.left[at], self.right[at])
             live = live[self.feature[node[live]] >= 0]
-        return node
-
-    def predict(self, x: np.ndarray):
-        """Class of one vector (an int) or of each row of a matrix (an array)."""
-        x = np.asarray(x, dtype=np.float64)
-        labels = np.argmax(self.counts[self.leaves(np.atleast_2d(x))], axis=1)
-        return int(labels[0]) if x.ndim == 1 else labels
+        return np.argmax(self.counts[node], axis=1)
 
 
 @dataclass(frozen=True)
@@ -280,6 +274,15 @@ def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> DecisionTree
     return tree
 
 
+def _json_list(value, kind, message: str) -> tuple:
+    """A JSON list whose items are all of kind (true and false are not numbers)."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, kind) and (kind is bool or not isinstance(v, bool)) for v in value
+    ):
+        raise ModelFormatError(message)
+    return tuple(value)
+
+
 def forest_from_json(text: str) -> Forest:
     """Parse a model document, rejecting unknown formats and versions."""
     try:
@@ -295,10 +298,11 @@ def forest_from_json(text: str) -> Forest:
         )
     try:
         std = payload["standardize"]
+        numbers = "standardize means and stds must be lists of numbers"
         standardize = StandardizeParams(
-            tuple(bool(b) for b in std["log_flags"]),
-            tuple(float(v) for v in std["means"]),
-            tuple(float(v) for v in std["stds"]),
+            _json_list(std["log_flags"], bool, "standardize log_flags must be a list of booleans"),
+            tuple(map(float, _json_list(std["means"], (int, float), numbers))),
+            tuple(map(float, _json_list(std["stds"], (int, float), numbers))),
         )
         raw_params = payload["params"]
         params = ForestParams(
@@ -310,7 +314,9 @@ def forest_from_json(text: str) -> Forest:
             min_split=int(raw_params["min_split"]),
             log_flags=standardize.log_flags,
         )
-        label_names = tuple(str(s) for s in payload["label_names"])
+        label_names = _json_list(
+            payload["label_names"], str, "label_names must be a list of strings"
+        )
         n_features = len(standardize.means)
         if not label_names or n_features < 1 or not (
             len(standardize.log_flags) == n_features == len(standardize.stds)

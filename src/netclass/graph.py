@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -181,7 +181,7 @@ def _coerce_label(token: str):
         return token
 
 
-def parse_edge_list(text: "str | IO[str]") -> tuple[Graph, list]:
+def parse_edge_list(text: str) -> tuple[Graph, list]:
     """Parse whitespace-separated edge-list text.
 
     Lines starting with '%' or '#' are comments; blank lines are skipped.
@@ -189,8 +189,6 @@ def parse_edge_list(text: "str | IO[str]") -> tuple[Graph, list]:
     Integer-looking tokens are treated as integer labels, anything else as
     text labels.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     tokens = _int_tokens(text, 2)
     if tokens is not None:
         return _parse_int_edges(tokens)
@@ -238,7 +236,7 @@ def _mm_graph(rows: int, i, j) -> tuple[Graph, list]:
     return graph, list(range(1, rows + 1))
 
 
-def parse_matrix_market(text: "str | IO[str]") -> tuple[Graph, list]:
+def parse_matrix_market(text: str) -> tuple[Graph, list]:
     """Parse the coordinate subset of the Matrix Market format.
 
     Accepts pattern/real/integer fields with general/symmetric symmetry.
@@ -246,8 +244,6 @@ def parse_matrix_market(text: "str | IO[str]") -> tuple[Graph, list]:
     entries are dropped, and `general` matrices are symmetrized.  Unlike edge
     lists, the declared dimension is kept, so isolated nodes survive.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     # Make "\n" the only line end (str.splitlines knows nine more), then walk
     # the banner, comments and blank lines up to the dimensions line.
     if any(end in text for end in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
@@ -320,11 +316,3 @@ def write_edge_list(g: Graph) -> str:
     flat[0::2], flat[1::2] = u, v
     return ("%d %d\n" * len(u)) % tuple(flat.tolist())
 
-
-def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
-    """Return the graph with node v renamed to mapping[v]."""
-    if sorted(mapping) != list(range(g.node_count)):
-        raise ValueError("mapping must be a permutation of 0..n-1")
-    new_id = np.asarray(mapping, dtype=np.int64)
-    u, v = g.edge_arrays()
-    return _build_graph(g.node_count, new_id[u], new_id[v])

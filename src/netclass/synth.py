@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, _build_graph
+from .graph import MAX_NODES, Graph, _build_graph
 from .seeding import derive_seed, make_rng
 
 FAMILIES = ("ER", "BA")
@@ -88,9 +88,6 @@ class GeneratorSpec:
     m_range: "tuple[int, int] | None" = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.count < 0:
@@ -98,6 +95,8 @@ class GeneratorSpec:
         lo, hi = self.nodes_range
         if not 1 <= lo <= hi:
             raise ValueError(f"bad node range [{lo}, {hi}]")
+        if hi > MAX_NODES:
+            raise ValueError(f"{hi} nodes exceed the limit of {MAX_NODES}")
         if self.family == "ER":
             if (self.p_range is None) == (self.avg_degree_range is None):
                 raise ValueError("ER spec needs exactly one of p or avg-degree range")

@@ -2,13 +2,17 @@
 
 Everything here is written for clarity over speed and is only run on tiny
 graphs (n <= ~35) and tiny tables, so exponential algorithms are fine.  None of it shares
-code with the package under test.
+code with the package under test, except `relabel`, a test helper that builds a package
+Graph.
 """
 
 import heapq
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
+
+from netclass.graph import Graph, _build_graph
 
 
 def adjacency(n, edges):
@@ -420,3 +424,12 @@ def tsne_reference(p, iterations, learning_rate, seed):
     if not np.isfinite(y).all() or not np.isfinite(kl):
         raise ValueError(message)
     return y, kl, tuple(trace)
+
+
+def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
+    """Return the graph with node v renamed to mapping[v]."""
+    if sorted(mapping) != list(range(g.node_count)):
+        raise ValueError("mapping must be a permutation of 0..n-1")
+    new_id = np.asarray(mapping, dtype=np.int64)
+    u, v = g.edge_arrays()
+    return _build_graph(g.node_count, new_id[u], new_id[v])

@@ -1,23 +1,27 @@
 """The top-level API is exactly the names the README's Python examples import.
 
 Everything else is imported from its submodule, so a name added to
-``netclass.__all__`` without a README example fails here.
+``netclass.__all__`` without a README example fails here.  The examples
+themselves run here too, so a change to a documented call shape fails.
 """
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import netclass
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 
 
 def readme_imports():
     """Names imported `from netclass` in the README's ```python blocks."""
     text = README.read_text(encoding="utf-8")
     names = set()
-    for block in re.findall(r"^```python\n(.*?)^```", text, re.M | re.S):
+    for block in PYTHON_BLOCK.findall(text):
         for node in ast.walk(ast.parse(block)):
             if isinstance(node, ast.ImportFrom) and node.module == "netclass":
                 names.update(alias.name for alias in node.names)
@@ -33,3 +37,22 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from netclass import *", namespace)
     assert {name for name in namespace if name != "__builtins__"} == set(netclass.__all__)
+
+
+def readme_blocks(section):
+    """The ```python blocks of the README section headed `## section`."""
+    text = README.read_text(encoding="utf-8")
+    for part in re.split(r"^## ", text, flags=re.M)[1:]:
+        title, _, body = part.partition("\n")
+        if title == section:
+            return PYTHON_BLOCK.findall(body)
+    raise LookupError(f"README has no section {section!r}")
+
+
+# The plotting example needs matplotlib, which is not a dependency.
+@pytest.mark.parametrize("section", ["Graph representation", "Library use"])
+def test_readme_examples_run(section):
+    blocks = readme_blocks(section)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, f"README.md, {section}", "exec"), {})

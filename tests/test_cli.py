@@ -97,6 +97,7 @@ OUT_FLAGS = {
     "evaluate": ["--out-dir", "work/reports"],
     "embed": ["--out", "work/e.csv"],
     "cluster": ["--out", "work/c.csv"],
+    "predict": ["--out", "work/p.csv"],
 }
 BAD_SETTINGS = [
     *[(command, flags, message)
@@ -136,20 +137,46 @@ BAD_SETTINGS = [
     ("features", [], "cannot write CSV line 2: a cell holds a carriage return"),
     # A bad record after a quoted name that spans two lines: its physical line.
     ("features", [], "two_line_name.csv line 4: expected 3+ columns"),
+    # Inputs holding the byte 0xff, which is not UTF-8: each message names the
+    # file.  The model is read before any graph, so predict's graph is never read.
+    *[(command, flags, f"{filename}: 'utf-8' codec can't decode byte 0xff")
+      for command, flags, filename in [
+          ("features", [], "latin1_manifest.csv"),
+          ("train", [], "latin1_features.csv"),
+          ("train", ["--config", "latin1.cfg"], "latin1.cfg"),
+          ("generate", [], "latin1_spec.ini"),
+          ("predict", ["never_read.edges"], "latin1_model.json"),
+      ]],
+    # Specs above graph.MAX_NODES, refused before anything is allocated.
+    *[("generate", [], f"huge_{family}.ini: bad [{family}] section: "
+       "10000000000000 nodes exceed the limit of 3037000499") for family in ("ba", "er")],
 ]
-# A case whose message is a key here reads this input in place of the one in
-# INPUTS.  It is written beside the corpus, so its graph paths resolve.
+# The inputs of the last cases of BAD_SETTINGS, in order.  Each is read in
+# place of the one in INPUTS, or in place of a flag value equal to its file
+# name.  It is written beside the corpus, so its graph paths resolve, and
+# "\udcff" is written as the byte 0xff.
+BAD_INPUT_FILES = [
+    ("long_name.csv", f"path,name,category\ngraphs/ba_0000.edges,{'n' * 200_000},BA\n"),
+    ("long_name_features.csv",
+     f"{CSV_HEADER}\n{'n' * 200_000},BA,{','.join(['1'] * len(FEATURE_NAMES))}\n"),
+    ("cr_name.csv", 'path,name,category\ngraphs/ba_0000.edges,"x\ry",BA\n'),
+    ("two_line_name.csv",
+     'path,name,category\ngraphs/ba_0000.edges,"two\nlines",BA\ngraphs/ba_0001.edges\n'),
+    ("latin1_manifest.csv", "path,name,category\ngraphs/ba_0000.edges,n\udcff,BA\n"),
+    ("latin1_features.csv",
+     f"{CSV_HEADER}\nn\udcff,BA,{','.join(['1'] * len(FEATURE_NAMES))}\n"),
+    ("latin1.cfg", "trees = 5  # \udcff\n"),
+    ("latin1_spec.ini", "# \udcff\n[ba]\n"),
+    ("latin1_model.json", '{"label_names": ["\udcff"]}\n'),
+    ("huge_ba.ini", "[ba]\ncount = 1\nnodes_min = 10000000000000\n"
+     "nodes_max = 10000000000000\nm_min = 2\nm_max = 4\n"),
+    ("huge_er.ini", "[er]\ncount = 1\nnodes_min = 10000000000000\n"
+     "nodes_max = 10000000000000\navg_degree_min = 2\navg_degree_max = 4\n"),
+]
 BAD_INPUTS = {
-    BAD_SETTINGS[-4][2]: (
-        "long_name.csv", f"path,name,category\ngraphs/ba_0000.edges,{'n' * 200_000},BA\n"),
-    BAD_SETTINGS[-3][2]: (
-        "long_name_features.csv",
-        f"{CSV_HEADER}\n{'n' * 200_000},BA,{','.join(['1'] * len(FEATURE_NAMES))}\n"),
-    BAD_SETTINGS[-2][2]: (
-        "cr_name.csv", 'path,name,category\ngraphs/ba_0000.edges,"x\ry",BA\n'),
-    BAD_SETTINGS[-1][2]: (
-        "two_line_name.csv",
-        'path,name,category\ngraphs/ba_0000.edges,"two\nlines",BA\ngraphs/ba_0001.edges\n'),
+    message: input_file
+    for (_, _, message), input_file in zip(
+        BAD_SETTINGS[-len(BAD_INPUT_FILES):], BAD_INPUT_FILES)
 }
 
 
@@ -163,8 +190,12 @@ def test_out_of_range_setting_exits_1_and_writes_nothing(
     source = corpus["root"] / INPUTS.get(command, "features.csv")
     if message in BAD_INPUTS:
         filename, text = BAD_INPUTS[message]
-        source = corpus["root"] / filename
-        source.write_text(text, encoding="utf-8", newline="")
+        path = corpus["root"] / filename
+        path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
+        if filename in flags:
+            flags = [str(path) if flag == filename else flag for flag in flags]
+        else:
+            source = path
     code = main([command, str(source)] + OUT_FLAGS[command] + flags)
     assert code == 1
     err = capsys.readouterr().err
@@ -531,6 +562,19 @@ class TestTrainPredict:
             "fractional count": (
                 edited(["trees", 0, "counts", leaf, 0], good["trees"][0]["counts"][leaf][0] + 0.5),
                 "whole numbers"),
+            "label_names a string": (
+                edited(["label_names"], "".join(map(str, range(len(good["label_names"]))))),
+                "list of strings"),
+            "label_names numbers": (
+                edited(["label_names"], list(range(len(good["label_names"])))),
+                "list of strings"),
+            "log_flags strings": (
+                edited(["standardize", "log_flags"],
+                       ["no"] * len(good["standardize"]["log_flags"])),
+                "list of booleans"),
+            "means numeric strings": (
+                edited(["standardize", "means"], [str(v) for v in good["standardize"]["means"]]),
+                "lists of numbers"),
         }
         for name, (text, message) in cases.items():
             bad.write_text(text, encoding="utf-8")

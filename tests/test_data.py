@@ -47,16 +47,12 @@ class TestFitApply:
         new = apply_standardize(params, np.array([[4.0]]))
         assert new[0, 0] == pytest.approx(3.0)  # (4 - 1) / 1
 
-    def test_vector_convenience(self):
-        params = fit_standardize(np.array([[0.0, 10.0], [2.0, 30.0]]))
-        out = apply_standardize(params, np.array([2.0, 10.0]))
-        assert out.shape == (2,)
-        assert out[0] == pytest.approx(1.0)
-
     def test_dimension_mismatch(self):
         params = fit_standardize(np.ones((3, 2)))
         with pytest.raises(ValueError, match="columns"):
             apply_standardize(params, np.ones((3, 5)))
+        with pytest.raises(ValueError, match="2-D"):
+            apply_standardize(params, np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):

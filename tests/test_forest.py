@@ -54,9 +54,9 @@ class TestTrainTree:
         assert tree.threshold[0] == 0.0  # midpoint of -1 and 1
         assert (tree.left[0], tree.right[0]) == (1, 2)
         assert tree.counts.tolist() == [[2, 2], [2, 0], [0, 2]]
-        assert tree.predict(np.array([-5.0])) == 0
-        assert tree.predict(np.array([0.0])) == 0  # x <= threshold goes left
-        assert tree.predict(np.array([0.5])) == 1
+        assert tree.predict(np.array([[-5.0]])).tolist() == [0]
+        assert tree.predict(np.array([[0.0]])).tolist() == [0]  # x <= threshold goes left
+        assert tree.predict(np.array([[0.5]])).tolist() == [1]
 
     def test_midpoint_threshold(self):
         x = np.array([[0.0], [1.0]])
@@ -92,7 +92,7 @@ class TestTrainTree:
         x = np.zeros((2, 1))
         y = np.array([1, 0])
         tree = train_tree(x, y, 1, 2, seed=0)
-        assert tree.predict(np.array([0.0])) == 0
+        assert tree.predict(np.array([[0.0]])).tolist() == [0]
 
     def test_non_finite_matrix_rejected(self):
         y = np.array([0, 1, 0, 1])
@@ -114,7 +114,7 @@ class TestTrainTree:
         x = rng.normal(size=(25, 4))
         y = rng.integers(0, 3, size=25)
         tree = train_tree(x, y, 4, 2, seed=1)
-        got = [tree.predict(x[i]) for i in range(25)]
+        got = [int(tree.predict(x[i:i + 1])[0]) for i in range(25)]
         assert got == [int(v) for v in y]
         assert tree.predict(x).tolist() == got
 

@@ -37,6 +37,7 @@ STOCK_GOLDEN = {
     "graphs/*.edges": "93a5284a33dc06f7c62ffb2d72dfbd021431217c94920ea7579fece0263ab518",
     "features.csv": "1a61aed90ceb047db8f6059fc958404c51958fa9439a0af1206b7faffc4f0ff0",
     "model.json": "bab07fba26cefefb94e57762fd9bb2c4ab084e886892909afbbb0f5e543232ad",
+    "pred.csv": "3bc2e35e551bbf87cab26926e11b398ba984470b619aafbc50b387cf9f81a196",
     "reports/confusion.csv": "def18a0cdbf48ccfc5051605298c0a68d26a28ddd822924b49f596220f580db1",
     "reports/confusion.txt": "0974612911ab91d6789b907526be39ebfc9548895090b5bbda90de8b2dde2195",
     "reports/misclassified.csv": "319dea07dd0028473bdb0485043de1f4928c92d6290d7c4b71f212cf65b63982",
@@ -62,6 +63,8 @@ def test_stock_corpus_matches_golden_digests(tmp_path, monkeypatch):
     assert main(["generate", "--out-dir", "corpus", "--seed", "7"]) == 0
     assert main(["features", "corpus/manifest.csv", "--out", "features.csv"]) == 0
     assert main(["train", "features.csv", "--model-out", "model.json"]) == 0
+    graphs = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.glob("corpus/*.edges"))
+    assert main(["predict", "model.json", *graphs, "--out", "pred.csv"]) == 0
     assert main(["evaluate", "features.csv", "--folds", "5", "--out-dir", "reports"]) == 0
     assert main(["embed", "features.csv", "--out", "embed.csv", "--perplexity", "20"]) == 0
     assert main(["cluster", "features.csv", "--out", "clusters.csv", "--k", "4",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netclass import default_corpus_specs, generate_corpus
+from netclass.graph import MAX_NODES
 from netclass.seeding import derive_seed
 from netclass.synth import (
     GeneratorSpec,
@@ -110,33 +111,41 @@ class TestGeneratorSpec:
 
     def test_count_zero_allowed(self):
         spec = self.ba_spec(count=0)
-        spec.validate()
         assert generate_corpus([spec]) == []
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            self.ba_spec(count=-1).validate()
+            self.ba_spec(count=-1)
 
     def test_er_needs_exactly_one_parameter_range(self):
         with pytest.raises(ValueError, match="exactly one"):
             GeneratorSpec(
                 family="ER", count=1, nodes_range=(5, 9), master_seed=0,
                 p_range=(0.1, 0.2), avg_degree_range=(2.0, 3.0),
-            ).validate()
+            )
         with pytest.raises(ValueError, match="exactly one"):
             GeneratorSpec(
                 family="ER", count=1, nodes_range=(5, 9), master_seed=0
-            ).validate()
+            )
 
     def test_ba_m_must_stay_below_node_floor(self):
         with pytest.raises(ValueError, match="m_hi < n_lo"):
-            self.ba_spec(nodes_range=(4, 10), m_range=(2, 4)).validate()
+            self.ba_spec(nodes_range=(4, 10), m_range=(2, 4))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             GeneratorSpec(
                 family="WS", count=1, nodes_range=(5, 9), master_seed=0
-            ).validate()
+            )
+
+    @pytest.mark.parametrize("family", ["BA", "ER"])
+    def test_node_range_above_limit_rejected(self, family):
+        params = {"m_range": (2, 4)} if family == "BA" else {"avg_degree_range": (2.0, 3.0)}
+        with pytest.raises(ValueError, match=f"exceed the limit of {MAX_NODES}"):
+            GeneratorSpec(family=family, count=1, nodes_range=(10**13, 10**13),
+                          master_seed=0, **params)
+        GeneratorSpec(family=family, count=1, nodes_range=(10, MAX_NODES),
+                      master_seed=0, **params)
 
 
 class TestCorpus:
