@@ -1,15 +1,15 @@
 """Command-line front end tying parsing, features, learning and reports together.
 
 Exit codes: 0 success, 1 validation error (bad flags, config, input files,
-or an output path that cannot be written), 2 partial data failure (some
-graphs failed but output was written for the rest), 3 internal error.  All
-file outputs are written atomically (temp file + rename) and are
-byte-identical for a given seed.  Every command runs serially in one
-process; --workers is accepted and checked (it must be at least 1) but
-currently has no effect.
+an output path that cannot be written, or not enough memory), 2 partial
+data failure (some graphs failed but output was written for the rest), 3
+internal error.  All file outputs are written atomically (temp file +
+rename) and are byte-identical for a given seed.  Every command runs
+serially in one process; --workers is accepted and checked (it must be at
+least 1) but currently has no effect.
 
 This module only parses and merges settings.  Each setting's range is
-checked by the library step that uses it (the forest, the fold plan,
+checked by the library step that uses it (the forest, the folds,
 k-means, t-SNE, the overlap report), which raises ValueError; main maps
 every ValueError to exit 1.
 """
@@ -224,16 +224,15 @@ def _extract_all(paths: list[str]):
     list) and extract its features; one bad file never stops the batch.
 
     Returns two dicts keyed by index into paths: the features of each graph
-    that parsed, and a "path: reason" message for each that did not.
+    that parsed, and a message naming the path once for each that did not.
     """
     done, failures = {}, {}
     for i, path in enumerate(paths):
         parse = parse_matrix_market if path.lower().endswith(".mtx") else parse_edge_list
         try:
-            graph, _ = parse(_read_text(path))
-            done[i] = extract_features(graph)
+            done[i] = _parse_file(path, lambda text: extract_features(parse(text)[0]))
         except ValueError as exc:
-            failures[i] = f"{path}: {exc}"
+            failures[i] = str(exc)
     return done, failures
 
 
@@ -338,14 +337,15 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     reports = {
         "confusion.csv": confusion_to_csv(result.confusion),
         "confusion.txt": confusion_to_text(result.confusion),
-        "misclassified.csv": misclass_to_csv(result.misclassified, dataset.label_names),
+        "misclassified.csv": misclass_to_csv(dataset, result),
     }
     _makedirs(args.out_dir)
     for filename, text in reports.items():
         atomic_write(os.path.join(args.out_dir, filename), text)
     print(
         f"{cfg.folds}-fold cv accuracy {result.accuracy:.6f} "
-        f"({len(result.misclassified)} misclassified) -> {args.out_dir}"
+        f"({int((result.predictions != dataset.labels).sum())} misclassified) "
+        f"-> {args.out_dir}"
     )
     return EXIT_OK
 
@@ -498,6 +498,9 @@ def main(argv=None) -> int:
         return args.func(args, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {exc}", file=sys.stderr)

@@ -18,26 +18,9 @@ from .forest import ForestParams, forest_predict, forest_train
 from .seeding import derive_seed, make_rng
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """A disjoint cover of row indices 0..N-1 by k (possibly empty) folds."""
-
-    folds: tuple[tuple[int, ...], ...]
-    seed: int
-
-    def __post_init__(self):
-        seen = [i for fold in self.folds for i in fold]
-        if sorted(seen) != list(range(len(seen))):
-            raise ValueError("folds do not partition 0..N-1")
-
-    def train_indices(self, fold: int) -> tuple[int, ...]:
-        held = set(self.folds[fold])
-        total = sum(len(f) for f in self.folds)
-        return tuple(i for i in range(total) if i not in held)
-
-
-def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
-    """Deal each class's shuffled indices round-robin across k folds.
+def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """The fold of each row: each class's shuffled rows are dealt round-robin
+    across folds 0..k-1.
 
     Classes are processed in ascending label order with one shared generator,
     so per-class fold counts differ by at most one.
@@ -49,13 +32,11 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
     if k > n:
         raise ValueError(f"cannot split {n} rows into {k} folds")
     rng = make_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    folds = np.empty(n, dtype=np.int64)
     for label in np.unique(y):
-        idx = np.nonzero(y == label)[0]
-        perm = rng.permutation(idx)
-        for j, row in enumerate(perm):
-            folds[j % k].append(int(row))
-    return FoldPlan(tuple(tuple(sorted(f)) for f in folds), seed)
+        perm = rng.permutation(np.nonzero(y == label)[0])
+        folds[perm] = np.arange(len(perm)) % k
+    return folds
 
 
 @dataclass(frozen=True)
@@ -88,21 +69,20 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class MisclassRecord:
-    name: str
-    true_label: str
-    predicted_label: str
-    votes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CVResult:
-    accuracy: float
-    confusion: ConfusionMatrix
-    misclassified: tuple[MisclassRecord, ...]
+    """Per-row arrays: folds[i] is the fold row i was held out in, and
+    predictions[i] and votes[i] (one count per class) come from that fold's
+    forest, which never saw row i."""
+
+    folds: np.ndarray
     predictions: np.ndarray
-    plan: FoldPlan
+    votes: np.ndarray
+    confusion: ConfusionMatrix
     fold_standardize: tuple[StandardizeParams, ...]
+
+    @property
+    def accuracy(self) -> float:
+        return self.confusion.accuracy
 
 
 def cross_validate(
@@ -110,44 +90,27 @@ def cross_validate(
 ) -> CVResult:
     """k-fold CV with a fresh forest per fold; predictions are pooled.
 
-    The fold plan uses derive_seed(seed, 0) and fold f trains with master
-    seed derive_seed(seed, 1 + f), so results are reproducible regardless of
-    fold evaluation order.
+    The folds use derive_seed(seed, 0) and fold f trains with master seed
+    derive_seed(seed, 1 + f), so results are reproducible regardless of fold
+    evaluation order.
     """
-    plan = stratified_kfold(dataset.labels, k, derive_seed(seed, 0))
+    folds = stratified_kfold(dataset.labels, k, derive_seed(seed, 0))
     n = dataset.n_rows
     predictions = np.full(n, -1, dtype=np.int64)
     votes = np.zeros((n, dataset.n_classes), dtype=np.int64)
     fold_params = []
-    for f, test_idx in enumerate(plan.folds):
-        train_idx = plan.train_indices(f)
-        if not train_idx:
+    for f in range(k):
+        train_idx = np.nonzero(folds != f)[0]
+        if not len(train_idx):
             raise ValueError(f"fold {f} leaves no training rows")
         forest = forest_train(dataset.subset(train_idx), params, derive_seed(seed, 1 + f))
         fold_params.append(forest.standardize)
-        rows = list(test_idx)
+        rows = np.nonzero(folds == f)[0]
         predictions[rows], votes[rows] = forest_predict(forest, dataset.matrix[rows])
     confusion = ConfusionMatrix.from_predictions(
         dataset.labels, predictions, dataset.label_names
     )
-    misclassified = tuple(
-        MisclassRecord(
-            dataset.names[i],
-            dataset.label_names[dataset.labels[i]],
-            dataset.label_names[predictions[i]],
-            tuple(int(c) for c in votes[i]),
-        )
-        for i in range(n)
-        if predictions[i] != dataset.labels[i]
-    )
-    return CVResult(
-        accuracy=confusion.accuracy,
-        confusion=confusion,
-        misclassified=misclassified,
-        predictions=predictions,
-        plan=plan,
-        fold_standardize=tuple(fold_params),
-    )
+    return CVResult(folds, predictions, votes, confusion, tuple(fold_params))
 
 
 @dataclass(frozen=True)
@@ -229,11 +192,14 @@ def confusion_to_text(cm: ConfusionMatrix) -> str:
     )
 
 
-def misclass_to_csv(records, label_names: tuple[str, ...]) -> str:
-    header = ["name", "category", "predicted"] + [f"votes_{s}" for s in label_names]
+def misclass_to_csv(dataset: Dataset, result: CVResult) -> str:
+    """The rows whose cross-validated prediction is wrong, in row order."""
+    names = dataset.label_names
+    header = ["name", "category", "predicted"] + [f"votes_{s}" for s in names]
     return csv_text(header, (
-        [rec.name, rec.true_label, rec.predicted_label] + [str(v) for v in rec.votes]
-        for rec in records
+        [dataset.names[i], names[dataset.labels[i]], names[result.predictions[i]]]
+        + [str(int(v)) for v in result.votes[i]]
+        for i in np.nonzero(result.predictions != dataset.labels)[0]
     ))
 
 

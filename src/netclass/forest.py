@@ -305,13 +305,16 @@ def forest_from_json(text: str) -> Forest:
             tuple(map(float, _json_list(std["stds"], (int, float), numbers))),
         )
         raw_params = payload["params"]
+        fps = raw_params["features_per_split"]
+        _json_list(
+            [raw_params["trees"], raw_params["min_split"]] + ([] if fps is None else [fps]),
+            int, "params trees and min_split must be integers, features_per_split "
+            "an integer or null",
+        )
         params = ForestParams(
-            trees=int(raw_params["trees"]),
-            features_per_split=(
-                None if raw_params["features_per_split"] is None
-                else int(raw_params["features_per_split"])
-            ),
-            min_split=int(raw_params["min_split"]),
+            trees=raw_params["trees"],
+            features_per_split=fps,
+            min_split=raw_params["min_split"],
             log_flags=standardize.log_flags,
         )
         label_names = _json_list(
@@ -329,10 +332,15 @@ def forest_from_json(text: str) -> Forest:
         trees = tuple(
             _tree_from_dict(t, n_features, len(label_names)) for t in payload["trees"]
         )
+        if not trees:
+            raise ModelFormatError("model holds no trees")
+        if params.trees != len(trees):
+            raise ModelFormatError(
+                f"params trees is {params.trees} but the model holds {len(trees)} trees"
+            )
+        params.validate(n_features)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
-    if not trees:
-        raise ModelFormatError("model holds no trees")
     return Forest(trees, params, standardize, label_names)

@@ -426,6 +426,26 @@ def tsne_reference(p, iterations, learning_rate, seed):
     return y, kl, tuple(trace)
 
 
+def stratified_kfold(labels, k, seed):
+    """The folds as sorted tuples of rows: the round-robin deal of each class's
+    shuffled rows that the package's fold array encodes.  The generator is the
+    one netclass.seeding.make_rng builds."""
+    y = np.asarray(labels, dtype=np.int64)
+    n = len(y)
+    if k < 2:
+        raise ValueError("need at least 2 folds")
+    if k > n:
+        raise ValueError(f"cannot split {n} rows into {k} folds")
+    rng = np.random.default_rng(seed & ((1 << 64) - 1))
+    folds = [[] for _ in range(k)]
+    for label in np.unique(y):
+        idx = np.nonzero(y == label)[0]
+        perm = rng.permutation(idx)
+        for j, row in enumerate(perm):
+            folds[j % k].append(int(row))
+    return tuple(tuple(sorted(f)) for f in folds)
+
+
 def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     """Return the graph with node v renamed to mapping[v]."""
     if sorted(mapping) != list(range(g.node_count)):

@@ -202,7 +202,7 @@ def test_ac3_substitute_property_suite():
     full = fit_standardize(sub.matrix, flags)
     leak_free = True
     for f, got in enumerate(cv.fold_standardize):
-        want = fit_standardize(sub.matrix[list(cv.plan.train_indices(f))], flags)
+        want = fit_standardize(sub.matrix[cv.folds != f], flags)
         leak_free &= got.means == want.means and got.stds == want.stds
         leak_free &= got.means != full.means
 

@@ -3,10 +3,12 @@
 Everything else is imported from its submodule, so a name added to
 ``netclass.__all__`` without a README example fails here.  The examples
 themselves run here too, so a change to a documented call shape fails.
+The package's own imports are checked against its one runtime dependency.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,20 @@ def test_readme_examples_run(section):
     assert blocks
     for block in blocks:
         exec(compile(block, f"README.md, {section}", "exec"), {})
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    sources = sorted(Path(netclass.__file__).parent.glob("*.py"))
+    assert sources
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", (source.name, module)

@@ -357,6 +357,20 @@ class TestGenerate:
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        import netclass.cli as cli_module
+
+        # Stands in for a spec whose graphs are too large for this machine.
+        def exhausted(specs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(cli_module, "generate_corpus", exhausted)
+        out = tmp_path / "o"
+        assert main(["generate", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: not enough memory: Unable to allocate 7.45 GiB" in err
+        assert not out.exists()
+
 
 class TestFeatures:
     def test_output_matches_manifest_order(self, corpus):
@@ -409,6 +423,28 @@ class TestFeatures:
             argv = ["predict", str(corpus["model"]), str(good), str(huge), "--out", str(out)]
         assert main(argv) == 2
         assert f"{huge}: line 2: {10**18} rows exceed the limit" in capsys.readouterr().err
+        assert len(read(out).splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["features", "predict"])
+    def test_unreadable_graph_names_its_path_once(self, tmp_path, corpus, capsys, command):
+        missing = tmp_path / "missing.edges"
+        latin1 = tmp_path / "latin1.edges"
+        latin1.write_bytes(b"0 1\n# caf\xe9\n")
+        good = corpus["graphs"] / "ba_0000.edges"
+        out = tmp_path / "out.csv"
+        if command == "features":
+            manifest = tmp_path / "m.csv"
+            manifest.write_text(f"path,name,category\n{good},ok,BA\n{missing},gone,ER\n"
+                                f"{latin1},latin,ER\n", encoding="utf-8")
+            argv = ["features", str(manifest), "--out", str(out)]
+        else:
+            argv = ["predict", str(corpus["model"]), str(good), str(missing), str(latin1),
+                    "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {missing}: No such file or directory" in err
+        assert f"cannot read {latin1}: 'utf-8' codec can't decode byte 0xe9" in err
+        assert err.count(str(missing)) == 1 and err.count(str(latin1)) == 1
         assert len(read(out).splitlines()) == 2
 
     def test_matrix_market_input(self, tmp_path):
@@ -575,6 +611,16 @@ class TestTrainPredict:
             "means numeric strings": (
                 edited(["standardize", "means"], [str(v) for v in good["standardize"]["means"]]),
                 "lists of numbers"),
+            "params trees a string": (edited(["params", "trees"], "7"), "must be integers"),
+            "params trees one more than stored": (
+                edited(["params", "trees"], len(good["trees"]) + 1),
+                f"holds {len(good['trees'])} trees"),
+            "min_split 2.9": (edited(["params", "min_split"], 2.9), "must be integers"),
+            "min_split 1": (edited(["params", "min_split"], 1), "min_split must be at least 2"),
+            "features_per_split true": (
+                edited(["params", "features_per_split"], True), "must be integers"),
+            "features_per_split 99": (
+                edited(["params", "features_per_split"], 99), "features_per_split 99 outside"),
         }
         for name, (text, message) in cases.items():
             bad.write_text(text, encoding="utf-8")

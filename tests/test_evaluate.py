@@ -7,7 +7,7 @@ from netclass import Dataset, ForestParams, cross_validate
 from netclass.data import fit_standardize
 from netclass.evaluate import (
     ConfusionMatrix,
-    FoldPlan,
+    CVResult,
     cluster_category_overlap,
     confusion_to_csv,
     confusion_to_text,
@@ -21,30 +21,30 @@ from netclass.seeding import derive_seed
 class TestStratifiedKFold:
     def test_partition(self):
         labels = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2])
-        plan = stratified_kfold(labels, 3, seed=1)
-        flat = sorted(i for fold in plan.folds for i in fold)
-        assert flat == list(range(12))
+        folds = stratified_kfold(labels, 3, seed=1)
+        assert folds.shape == (12,) and folds.dtype == np.int64
+        assert folds.min() >= 0 and folds.max() < 3
 
     def test_per_class_balance(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 4, size=57)
         k = 5
-        plan = stratified_kfold(labels, k, seed=2)
+        folds = stratified_kfold(labels, k, seed=2)
         for cls in np.unique(labels):
-            per_fold = [sum(labels[i] == cls for i in fold) for fold in plan.folds]
-            assert max(per_fold) - min(per_fold) <= 1
+            per_fold = np.bincount(folds[labels == cls], minlength=k)
+            assert per_fold.max() - per_fold.min() <= 1
 
     def test_deterministic_by_seed(self):
         labels = np.array([0, 1] * 10)
-        assert stratified_kfold(labels, 4, 7).folds == stratified_kfold(labels, 4, 7).folds
-        assert stratified_kfold(labels, 4, 7).folds != stratified_kfold(labels, 4, 8).folds
+        assert np.array_equal(stratified_kfold(labels, 4, 7), stratified_kfold(labels, 4, 7))
+        assert not np.array_equal(stratified_kfold(labels, 4, 7), stratified_kfold(labels, 4, 8))
 
     def test_small_classes_leave_empty_folds(self):
         # both classes deal round-robin starting at fold 0, so the
         # tail folds stay empty: 3 rows -> folds 0,1,2 and 2 -> 0,1
         labels = np.array([0, 0, 0, 1, 1])
-        plan = stratified_kfold(labels, 5, seed=0)
-        assert [len(f) for f in plan.folds] == [2, 2, 1, 0, 0]
+        folds = stratified_kfold(labels, 5, seed=0)
+        assert np.bincount(folds, minlength=5).tolist() == [2, 2, 1, 0, 0]
 
     def test_k_validation(self):
         labels = np.array([0, 1, 0, 1])
@@ -52,16 +52,6 @@ class TestStratifiedKFold:
             stratified_kfold(labels, 1, 0)
         with pytest.raises(ValueError, match="cannot split"):
             stratified_kfold(labels, 5, 0)
-
-    def test_fold_plan_rejects_non_partition(self):
-        with pytest.raises(ValueError, match="partition"):
-            FoldPlan(((0, 1), (1, 2)), seed=0)
-
-    def test_train_indices_complement(self):
-        plan = stratified_kfold(np.array([0, 0, 1, 1, 0, 1]), 2, seed=3)
-        for f in range(2):
-            train = plan.train_indices(f)
-            assert sorted(train + plan.folds[f]) == list(range(6))
 
 
 def separable_dataset(n_per_class=12, seed=0):
@@ -79,7 +69,7 @@ class TestCrossValidate:
         ds = separable_dataset()
         result = cross_validate(ds, ForestParams(trees=15), k=4, seed=5)
         assert result.accuracy == 1.0
-        assert result.misclassified == ()
+        assert (result.predictions == ds.labels).all()
         assert np.all(result.predictions >= 0)
         counts = result.confusion.counts
         assert counts.sum() - np.trace(counts) == 0
@@ -93,7 +83,7 @@ class TestCrossValidate:
     def test_empty_folds_predict_nothing(self):
         ds = separable_dataset(n_per_class=3, seed=4)
         result = cross_validate(ds, ForestParams(trees=5), k=5, seed=0)
-        assert [len(f) for f in result.plan.folds] == [2, 2, 2, 0, 0]
+        assert np.bincount(result.folds, minlength=5).tolist() == [2, 2, 2, 0, 0]
         assert np.all(result.predictions >= 0)
         assert result.confusion.counts.sum() == ds.n_rows
 
@@ -102,8 +92,7 @@ class TestCrossValidate:
         result = cross_validate(ds, ForestParams(trees=3), k=2, seed=2)
         full = fit_standardize(ds.matrix)
         for f, params in enumerate(result.fold_standardize):
-            train = list(result.plan.train_indices(f))
-            expected = fit_standardize(ds.matrix[train])
+            expected = fit_standardize(ds.matrix[result.folds != f])
             assert params.means == expected.means
             assert params.stds == expected.stds
             assert params.means != full.means
@@ -113,7 +102,7 @@ class TestCrossValidate:
         r1 = cross_validate(ds, ForestParams(trees=4), k=3, seed=9)
         r2 = cross_validate(ds, ForestParams(trees=4), k=3, seed=9)
         assert np.array_equal(r1.predictions, r2.predictions)
-        assert r1.plan.seed == derive_seed(9, 0)
+        assert np.array_equal(r1.folds, stratified_kfold(ds.labels, 3, derive_seed(9, 0)))
 
     def test_misclassified_records_are_consistent(self):
         # random labels guarantee some misclassifications
@@ -126,15 +115,19 @@ class TestCrossValidate:
             [f"g{i}" for i in range(24)], cats, matrix
         )
         result = cross_validate(ds, ForestParams(trees=5), k=3, seed=0)
-        expected_bad = {
+        expected_bad = [
             ds.names[i]
             for i in range(ds.n_rows)
             if result.predictions[i] != ds.labels[i]
-        }
-        assert {r.name for r in result.misclassified} == expected_bad
-        for rec in result.misclassified:
-            assert rec.true_label != rec.predicted_label
-            assert sum(rec.votes) == 5
+        ]
+        assert expected_bad
+        header, *rows = misclass_to_csv(ds, result).splitlines()
+        assert header == "name,category,predicted,votes_x,votes_y"
+        assert [row.split(",")[0] for row in rows] == expected_bad
+        for row in rows:
+            _, true_label, predicted_label, *votes = row.split(",")
+            assert true_label != predicted_label
+            assert sum(map(int, votes)) == 5
 
 
 class TestConfusionMatrix:
@@ -233,10 +226,16 @@ class TestOverlap:
 
 class TestMisclassCsv:
     def test_golden_output(self):
-        from netclass.evaluate import MisclassRecord
-
-        records = [MisclassRecord("g7", "ER", "BA", (60, 40))]
-        text = misclass_to_csv(records, ("BA", "ER"))
+        ds = Dataset.from_feature_table(["g3", "g7"], ["BA", "ER"], np.zeros((2, 1)))
+        cm = ConfusionMatrix.from_predictions(ds.labels, np.array([0, 0]), ds.label_names)
+        result = CVResult(
+            folds=np.array([0, 1]),
+            predictions=np.array([0, 0]),
+            votes=np.array([[100, 0], [60, 40]]),
+            confusion=cm,
+            fold_standardize=(),
+        )
+        text = misclass_to_csv(ds, result)
         assert text == (
             "name,category,predicted,votes_BA,votes_ER\n"
             "g7,ER,BA,60,40\n"

@@ -1,5 +1,5 @@
-"""Hypothesis properties of the graph core, the feature kernels, the trees
-and t-SNE.
+"""Hypothesis properties of the graph core, the feature kernels, the trees,
+the cross-validation folds and t-SNE.
 
 Graphs are drawn small and tie-heavy (circulants, where every node has the
 same degree, plus a few random edges), so the (degree, id) tie-breaking of
@@ -8,8 +8,9 @@ through Matrix Market text, which keeps isolated nodes.  Tree tables are
 drawn from a few values per column, so equal values, equal gains and cuts
 that do not exist are common.  Matrix Market texts use every line end that
 str.splitlines knows and are compared with a copy of the earlier reader.
-t-SNE runs are compared byte for byte with a loop that computes the fused
-KL and gradient on every step.
+Fold arrays are compared with the earlier list-of-folds deal.  t-SNE runs
+are compared byte for byte with a loop that computes the fused KL and
+gradient on every step.
 """
 
 import math
@@ -23,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from netclass import extract_features, parse_edge_list  # noqa: E402
+from netclass.evaluate import stratified_kfold  # noqa: E402
 from netclass.features import (  # noqa: E402
     FEATURE_NAMES,
     _INT_FEATURES,
@@ -146,6 +148,28 @@ def test_train_tree_matches_reference_split_search(table):
     for name, want in zip(TREE_ARRAYS, expected):
         got = getattr(tree, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@st.composite
+def fold_cases(draw):
+    n = draw(st.integers(2, 200))
+    n_classes = draw(st.integers(1, 6))
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    return labels, draw(st.integers(2, n)), draw(st.integers())
+
+
+@PROPERTY
+@given(fold_cases())
+def test_fold_array_matches_reference_folds(case):
+    labels, k, seed = case
+    folds = stratified_kfold(labels, k, seed)
+    expected = oracles.stratified_kfold(labels, k, seed)
+    for f, want in enumerate(expected):
+        held = set(want)
+        assert np.nonzero(folds == f)[0].tolist() == list(want)
+        assert np.nonzero(folds != f)[0].tolist() == [
+            i for i in range(len(labels)) if i not in held
+        ]
 
 
 # Every line end str.splitlines knows; "\r\n" counts as one.
