@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 validation error (bad flags, config, input files,
 an output path that cannot be written, or not enough memory), 2 partial
-data failure (some graphs failed but output was written for the rest), 3
-internal error.  All file outputs are written atomically (temp file +
-rename) and are byte-identical for a given seed.  Every command runs
-serially in one process; --workers is accepted and checked (it must be at
-least 1) but currently has no effect.
+data failure (some graphs failed, one too large for memory included, but
+output was written for the rest), 3 internal error.  All file outputs are
+written atomically (temp file + rename) and are byte-identical for a given
+seed.  Every command runs serially in one process; --workers is accepted
+and checked (it must be at least 1) but currently has no effect.
 
 This module only parses and merges settings.  Each setting's range is
 checked by the library step that uses it (the forest, the folds,
@@ -225,6 +225,7 @@ def _extract_all(paths: list[str]):
 
     Returns two dicts keyed by index into paths: the features of each graph
     that parsed, and a message naming the path once for each that did not.
+    A graph too large for memory fails alone, like a malformed one.
     """
     done, failures = {}, {}
     for i, path in enumerate(paths):
@@ -233,6 +234,8 @@ def _extract_all(paths: list[str]):
             done[i] = _parse_file(path, lambda text: extract_features(parse(text)[0]))
         except ValueError as exc:
             failures[i] = str(exc)
+        except MemoryError as exc:
+            failures[i] = f"{path}: not enough memory: {exc}"
     return done, failures
 
 

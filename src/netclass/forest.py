@@ -5,6 +5,18 @@ derive_seed(master, 2t) and its split-candidate subsets from
 derive_seed(master, 2t+1), so any scheduling of tree construction yields the
 same model.  All ties (equal Gini gain, equal votes) break toward the lowest
 feature index / threshold / class index.
+
+All trees of a forest grow in lockstep (grow_trees).  Each round takes from
+every live tree the next node in its preorder that can split; leaves on the
+way are recorded and draw nothing.  That node draws its candidate columns
+from its own tree's generator, so each tree sees the same draws as when it
+is grown alone.  The round's nodes are then scored in one segmented numpy
+pass per chunk of CHUNK_ROWS rows, so the cost of a numpy call is paid per
+chunk, not per node.  Rows are ordered by dense rank per column, computed
+once per forest; equal values may come out in any order, which changes no
+gain, since a cut between equal values is not scored and the class counts at
+a cut between distinct values do not depend on it.  train_tree is the
+one-tree case, so there is one split search.
 """
 
 from __future__ import annotations
@@ -20,6 +32,10 @@ from .seeding import derive_seed, make_rng
 MODEL_FORMAT = "netclass-forest"
 MODEL_VERSION = 2
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+# Rows scored in one segmented pass.  A round's nodes go in chunks of at
+# most this many rows (a larger node is a chunk of its own), which bounds
+# the pass's arrays to a few MiB.
+CHUNK_ROWS = 4096
 
 
 class ModelFormatError(ValueError):
@@ -106,74 +122,194 @@ def train_tree(
 
     A node becomes a leaf when it is pure, holds fewer than min_split
     samples, or no candidate split has strictly positive gain.  Each node
-    examines its own random subset of feature columns.
+    examines its own random subset of feature columns.  This is grow_trees
+    with one tree on every row, so a forest's trees equal this call's.
     """
     x = np.asarray(matrix, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[0] != y.shape[0]:
         raise ValueError("matrix and labels disagree or are empty")
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    return grow_trees(x, y, [np.arange(len(x))], features_per_split, min_split,
+                      [seed], n_classes)[0]
+
+
+class _Growth:
+    """One tree while it grows: its generator, its node arrays in preorder,
+    and a stack of (rows, class counts, parent) for the nodes not yet numbered.
+    A stack entry names its parent if it is a right child; a left child always
+    directly follows its parent."""
+
+    def __init__(self, rows: np.ndarray, counts: np.ndarray, seed: int):
+        self.rng = make_rng(seed)
+        self.stack = [(rows, counts, -1)]
+        self.feature, self.threshold, self.left, self.right, self.counts = [], [], [], [], []
+
+    def next_node(self, min_split: int):
+        """Number nodes off the stack, each a leaf for now, until one can split:
+        it holds at least min_split rows of at least two classes.  Returns that
+        node's (number, rows, counts), or None when the tree is done."""
+        while self.stack:
+            rows, counts, parent = self.stack.pop()
+            node = len(self.feature)
+            if parent >= 0:
+                self.right[parent] = node
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.counts.append(counts)
+            if len(rows) >= min_split and np.count_nonzero(counts) > 1:
+                return node, rows, counts
+        return None
+
+    def split(self, node, feature, threshold, left, right) -> None:
+        """Make node internal; left and right are each child's (rows, counts).
+        The left child is popped first, so nodes are numbered in preorder."""
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = node + 1
+        self.stack.append((*right, node))
+        self.stack.append((*left, -1))
+
+    def tree(self) -> DecisionTree:
+        return DecisionTree(
+            np.array(self.feature, dtype=np.int64),
+            np.array(self.threshold, dtype=np.float64),
+            np.array(self.left, dtype=np.int64),
+            np.array(self.right, dtype=np.int64),
+            np.array(self.counts, dtype=np.int64),
+        )
+
+
+def grow_trees(
+    x: np.ndarray,
+    y: np.ndarray,
+    samples: list,
+    features_per_split: int,
+    min_split: int,
+    seeds: list,
+    n_classes: int,
+) -> list:
+    """Grow tree t on the rows x[samples[t]], y[samples[t]], drawing its
+    candidate columns from make_rng(seeds[t]); see the module docstring for
+    the lockstep schedule."""
     # A NaN threshold would send every row right and never end the split.
     if not np.isfinite(x).all():
         raise ValueError("matrix contains non-finite values")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     n_features = x.shape[1]
     if not 1 <= features_per_split <= n_features:
         raise ValueError("features_per_split outside 1..n_features")
-    rng = make_rng(seed)
-    feature, threshold, left, right, counts = [], [], [], [], []
-    # Pop the left child first: nodes are numbered, and draw their candidate
-    # features, in preorder.  A stack entry names its parent if it is a
-    # right child; a left child always directly follows its parent.
-    stack = [(np.arange(x.shape[0]), -1)]
-    while stack:
-        idx, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        node_counts = np.bincount(y[idx], minlength=n_classes)
-        total = len(idx)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(node_counts)
-        if total < min_split or (node_counts > 0).sum() <= 1:
-            continue
-        parent_gini = 1.0 - ((node_counts / total) ** 2).sum()
-        feats = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
-        # Every cut of every candidate column at once: row i of a column's
-        # stable sort order ends the left side of cut i.
-        cols = x[idx][:, feats]
-        order = np.argsort(cols, axis=0, kind="stable")
-        sv = np.take_along_axis(cols, order, axis=0)
-        onehot = y[idx][order][:, :, None] == np.arange(n_classes)
-        n_left = np.arange(1, total, dtype=np.float64)[:, None]
-        n_right = total - n_left
-        left_counts = np.cumsum(onehot, axis=0)[:-1].astype(np.float64)
-        right_counts = node_counts - left_counts
-        gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
-        gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
-        gain = parent_gini - (n_left / total) * gini_left - (n_right / total) * gini_right
-        gain[sv[:-1] == sv[1:]] = -np.inf  # no cut between equal values
-        # The first maximum is the lowest cut, then the lowest feature.
-        cut = np.argmax(gain, axis=0)
-        f = int(np.argmax(gain[cut, np.arange(len(feats))]))
-        if not gain[cut[f], f] > 0.0:
-            continue
-        feature[node] = int(feats[f])
-        threshold[node] = float((sv[cut[f], f] + sv[cut[f] + 1, f]) / 2.0)
-        left[node] = node + 1
-        mask = x[idx, feature[node]] <= threshold[node]
-        stack.append((idx[~mask], node))
-        stack.append((idx[mask], -1))
-    return DecisionTree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold, dtype=np.float64),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-    )
+    # Values and their dense ranks column by column: (row, column) is the
+    # flat index column * n_rows + row.
+    columns = x.T.ravel()
+    ranks = np.concatenate([np.unique(col, return_inverse=True)[1] for col in x.T])
+    growing = [
+        _Growth(rows, np.bincount(y[rows], minlength=n_classes), seed)
+        for rows, seed in zip(samples, seeds)
+    ]
+    live = growing
+    while True:
+        nodes = []
+        for g in live:
+            found = g.next_node(min_split)
+            if found is not None:
+                nodes.append((g, *found))
+        if not nodes:
+            return [g.tree() for g in growing]
+        live = [g for g, *_ in nodes]
+        feats = np.sort(np.array([
+            g.rng.choice(n_features, size=features_per_split, replace=False) for g in live
+        ]), axis=1)
+        begin = rows_in_chunk = 0
+        for i, (_, _, rows, _) in enumerate(nodes):
+            if i > begin and rows_in_chunk + len(rows) > CHUNK_ROWS:
+                _split_nodes(columns, ranks, y, nodes[begin:i], feats[begin:i])
+                begin, rows_in_chunk = i, 0
+            rows_in_chunk += len(rows)
+        _split_nodes(columns, ranks, y, nodes[begin:], feats[begin:])
+
+
+def _split_nodes(columns, ranks, y, nodes, feats) -> None:
+    """Score every cut of every candidate column of nodes, each a (growth,
+    number, rows, counts), in one segmented pass and split each node whose
+    best cut has strictly positive gain.
+
+    Slot (j, r) holds row r of the chunk (nodes one after another) sorted by
+    candidate column j of its node; a segment is one (column, node) pair.
+    """
+    k_nodes, n_cand = feats.shape
+    sizes = np.array([len(rows) for _, _, rows, _ in nodes])
+    rows = np.concatenate([rows for _, _, rows, _ in nodes])
+    counts = np.array([counts for *_, counts in nodes])
+    n_classes = counts.shape[1]
+    n_rows = len(y)
+    owner = np.repeat(np.arange(k_nodes), sizes)
+    col_base = feats[owner].T * n_rows
+    # Node first, then rank: each segment comes out in value order.
+    srt = rows[np.argsort(owner * n_rows + ranks[col_base + rows], axis=1)]
+    sv = columns[col_base + srt].ravel()
+    srt = srt.ravel()
+    offsets = np.cumsum(sizes) - sizes
+    seg_start = (np.arange(n_cand)[:, None] * len(rows) + offsets).ravel()
+    seg_of = (np.arange(n_cand)[:, None] * k_nodes + owner).ravel()
+    # Class counts of slots [0, i) are cum[i]; a segment subtracts its own
+    # start, since the slot before it may belong to another column.
+    cum = np.zeros((len(srt) + 1, n_classes), dtype=np.int32)
+    onehot = np.take(np.eye(n_classes, dtype=np.int32), y[srt], axis=0)
+    np.cumsum(onehot, axis=0, out=cum[1:])
+    # A cut after slot p is scored only between distinct values of one segment.
+    opens = np.zeros(len(srt), dtype=bool)
+    opens[seg_start] = True
+    cut = np.flatnonzero((sv[:-1] != sv[1:]) & ~opens[1:])
+    if not cut.size:
+        return
+    seg = seg_of[cut]
+    base = seg_start[seg]
+    node = seg % k_nodes
+    total = sizes[node]
+    # The expressions of the node-at-a-time search, in its order, with the
+    # class axis last and contiguous so every sum adds in the same order.
+    left_counts = np.take(cum, cut + 1, axis=0) - np.take(cum, base, axis=0)
+    n_left = (cut + 1 - base).astype(np.float64)
+    n_right = total - n_left
+    right_counts = np.take(counts, node, axis=0) - left_counts
+    gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+    parent_gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+    gain = parent_gini[node] - (n_left / total) * gini_left - (n_right / total) * gini_right
+    # The first cut that reaches its segment's maximum, then the first column.
+    firsts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    seg_gain = np.maximum.reduceat(gain, firsts)
+    reach = gain == np.repeat(seg_gain, np.diff(np.r_[firsts, len(cut)]))
+    best_cut = np.full(n_cand * k_nodes, -1)
+    best_cut[seg[firsts]] = np.minimum.reduceat(
+        np.where(reach, np.arange(len(cut)), len(cut)), firsts)
+    best = np.full(n_cand * k_nodes, -np.inf)
+    best[seg[firsts]] = seg_gain
+    col = np.argmax(best.reshape(n_cand, k_nodes), axis=0)
+    won = np.flatnonzero(best[col * k_nodes + np.arange(k_nodes)] > 0.0)
+    if not won.size:
+        return
+    c = best_cut[col[won] * k_nodes + won]
+    p = cut[c]
+    threshold = (sv[p] + sv[p + 1]) / 2.0
+    start = base[c]
+    end = start + sizes[won]
+    # The left child is every row <= threshold.  That is slots up to p unless
+    # the midpoint of two adjacent floats rounds up to the larger one.
+    at = p + 1
+    for w in np.flatnonzero(sv[at] <= threshold):
+        at[w] = start[w] + np.searchsorted(sv[start[w]:end[w]], threshold[w], side="right")
+    left_child = np.take(cum, at, axis=0) - np.take(cum, start, axis=0)
+    right_child = counts[won] - left_child
+    for k, f, t, a, b, e, lc, rc in zip(
+        won.tolist(), feats[won, col[won]].tolist(), threshold.tolist(), start.tolist(),
+        at.tolist(), end.tolist(), left_child, right_child,
+    ):
+        g, number = nodes[k][:2]
+        g.split(number, f, t, (srt[a:b].copy(), lc), (srt[b:e].copy(), rc))
 
 
 def forest_train(dataset: Dataset, params: ForestParams, master_seed: int) -> Forest:
@@ -184,17 +320,13 @@ def forest_train(dataset: Dataset, params: ForestParams, master_seed: int) -> Fo
     params.validate(n_features)
     std_params = fit_standardize(dataset.matrix, params.log_flags)
     xs = apply_standardize(std_params, dataset.matrix)
-    y = dataset.labels
     n = dataset.n_rows
-    fps = params.resolved_features_per_split(n_features)
-    trees = []
-    for t in range(params.trees):
-        idx = make_rng(derive_seed(master_seed, 2 * t)).integers(0, n, size=n)
-        trees.append(
-            train_tree(xs[idx], y[idx], fps, params.min_split,
-                       derive_seed(master_seed, 2 * t + 1),
-                       n_classes=dataset.n_classes)
-        )
+    samples = [make_rng(derive_seed(master_seed, 2 * t)).integers(0, n, size=n)
+               for t in range(params.trees)]
+    seeds = [derive_seed(master_seed, 2 * t + 1) for t in range(params.trees)]
+    trees = grow_trees(xs, dataset.labels, samples,
+                       params.resolved_features_per_split(n_features),
+                       params.min_split, seeds, dataset.n_classes)
     return Forest(tuple(trees), params, std_params, dataset.label_names)
 
 

@@ -447,6 +447,36 @@ class TestFeatures:
         assert err.count(str(missing)) == 1 and err.count(str(latin1)) == 1
         assert len(read(out).splitlines()) == 2
 
+    @pytest.mark.parametrize("command", ["features", "predict"])
+    def test_out_of_memory_graph_fails_alone(self, tmp_path, corpus, capsys, monkeypatch,
+                                             command):
+        import netclass.cli as cli_module
+
+        good = corpus["graphs"] / "ba_0000.edges"
+        huge = tmp_path / "huge.edges"
+        huge.write_text("0 1\n", encoding="utf-8")
+        real = cli_module.extract_features
+
+        # The one-edge graph stands in for a graph too large for this machine.
+        def extract(graph):
+            if graph.edge_count == 1:
+                raise MemoryError("Unable to allocate 7.45 GiB for an array")
+            return real(graph)
+
+        monkeypatch.setattr(cli_module, "extract_features", extract)
+        out = tmp_path / "out.csv"
+        if command == "features":
+            manifest = tmp_path / "m.csv"
+            manifest.write_text(f"path,name,category\n{good},ok,BA\n{huge},huge,BA\n",
+                                encoding="utf-8")
+            argv = ["features", str(manifest), "--out", str(out)]
+        else:
+            argv = ["predict", str(corpus["model"]), str(good), str(huge), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{huge}: not enough memory: Unable to allocate 7.45 GiB" in err
+        assert len(read(out).splitlines()) == 2
+
     def test_matrix_market_input(self, tmp_path):
         mtx = tmp_path / "tri.mtx"
         mtx.write_text(

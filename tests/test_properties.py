@@ -6,8 +6,10 @@ same degree, plus a few random edges), so the (degree, id) tie-breaking of
 the peel order is exercised on almost every example.  They are built
 through Matrix Market text, which keeps isolated nodes.  Tree tables are
 drawn from a few values per column, so equal values, equal gains and cuts
-that do not exist are common.  Matrix Market texts use every line end that
-str.splitlines knows and are compared with a copy of the earlier reader.
+that do not exist are common; trees grown together, in chunks of a few
+rows, are compared with the reference one tree at a time.  Matrix Market
+texts use every line end that str.splitlines knows and are compared with a
+copy of the earlier reader.
 Fold arrays are compared with the earlier list-of-folds deal.  t-SNE runs
 are compared byte for byte with a loop that computes the fused KL and
 gradient on every step.
@@ -33,7 +35,8 @@ from netclass.features import (  # noqa: E402
     greedy_chromatic,
     triangle_counts,
 )
-from netclass.forest import TREE_ARRAYS, train_tree  # noqa: E402
+from netclass import forest  # noqa: E402
+from netclass.forest import TREE_ARRAYS, grow_trees, train_tree  # noqa: E402
 from netclass.graph import (  # noqa: E402
     parse_matrix_market,
     write_edge_list,
@@ -128,7 +131,9 @@ def tree_tables(draw):
     values = st.sampled_from((-1.5, 0.0, 0.25, 3.0))
     x = np.array(draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
                                min_size=rows, max_size=rows)))
-    n_classes = draw(st.integers(1, 4))
+    # Past 8 classes numpy's pairwise sum unrolls, so the class sums must
+    # still add in the reference's order there.
+    n_classes = draw(st.integers(1, 13))
     # Leave one class out of the labels when there is more than one.
     absent = draw(st.integers(0, n_classes - 1)) if n_classes > 1 else None
     present = [c for c in range(n_classes) if c != absent]
@@ -139,8 +144,16 @@ def tree_tables(draw):
     return x, y, features_per_split, min_split, seed, n_classes
 
 
+# Column 1 holds adjacent floats whose midpoint rounds up to the larger one,
+# so its split sends every row left and the node splits again.
+EPS = np.finfo(np.float64).eps
+ADJACENT = [1.0 + EPS, 1.0 + 2 * EPS, 1.0 + EPS, 1.0 + 2 * EPS, 3.0]
+
+
 @PROPERTY
 @given(tree_tables())
+@example((np.column_stack([[0.0, 1.0, 0.0, 1.0, 1.0], ADJACENT]),
+          np.array([0, 1, 0, 1, 1]), 1, 2, 4, 2))
 def test_train_tree_matches_reference_split_search(table):
     x, y, features_per_split, min_split, seed, n_classes = table
     tree = train_tree(x, y, features_per_split, min_split, seed, n_classes=n_classes)
@@ -148,6 +161,47 @@ def test_train_tree_matches_reference_split_search(table):
     for name, want in zip(TREE_ARRAYS, expected):
         got = getattr(tree, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@st.composite
+def forest_tables(draw):
+    """A tree table, 1-5 bootstrap samples with a seed each, and a chunk cap
+    of 1 or 7 rows (a round in several passes) or the module's own."""
+    x, y, features_per_split, min_split, _, n_classes = draw(tree_tables())
+    n_trees = draw(st.integers(1, 5))
+    rows = st.lists(st.integers(0, len(x) - 1), min_size=len(x), max_size=len(x))
+    samples = [np.array(draw(rows), dtype=np.int64) for _ in range(n_trees)]
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=n_trees, max_size=n_trees))
+    cap = draw(st.sampled_from([1, 7, forest.CHUNK_ROWS]))
+    return x, y, samples, features_per_split, min_split, seeds, n_classes, cap
+
+
+# 11 classes, where a class sum that adds in another order than the
+# reference's pairwise sum breaks a tie between two cuts the other way.
+ELEVEN_CLASS_X = np.array([
+    [-1.5, 3.0], [3.0, 3.0], [0.25, 0.0], [3.0, -1.5], [3.0, 0.25], [0.25, 0.25],
+    [0.25, -1.5], [0.25, 3.0], [-1.5, -1.5], [0.0, 3.0], [0.25, 3.0], [0.0, -1.5],
+    [3.0, -1.5], [0.0, 3.0], [-1.5, 3.0], [-1.5, 0.25], [0.25, 3.0],
+])
+ELEVEN_CLASS_Y = np.array([8, 8, 9, 10, 4, 7, 7, 10, 1, 2, 4, 8, 3, 6, 10, 2, 1])
+
+
+@PROPERTY
+@given(forest_tables())
+@example((ELEVEN_CLASS_X, ELEVEN_CLASS_Y, [np.arange(17), np.arange(17)[::-1]], 2, 2,
+          [2671547580, 5], 11, 7))
+def test_trees_grown_together_match_reference_one_by_one(table):
+    x, y, samples, features_per_split, min_split, seeds, n_classes, cap = table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest, "CHUNK_ROWS", cap)
+        trees = grow_trees(x, y, samples, features_per_split, min_split, seeds, n_classes)
+    assert len(trees) == len(samples)
+    for tree, rows, seed in zip(trees, samples, seeds):
+        expected = oracles.cart_tree(x[rows], y[rows], features_per_split, min_split, seed,
+                                     n_classes)
+        for name, want in zip(TREE_ARRAYS, expected):
+            got = getattr(tree, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 @st.composite
