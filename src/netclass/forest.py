@@ -294,14 +294,15 @@ def _split_nodes(columns, ranks, y, nodes, feats) -> None:
         return
     c = best_cut[col[won] * k_nodes + won]
     p = cut[c]
-    threshold = (sv[p] + sv[p + 1]) / 2.0
+    # The midpoint, or the lower value where the midpoint is not below the
+    # upper one (adjacent floats) or overflows.  Either way the left child
+    # is the slots up to p, so both children shrink.
+    with np.errstate(over="ignore"):
+        mid = (sv[p] + sv[p + 1]) / 2.0
+    threshold = np.where((sv[p] <= mid) & (mid < sv[p + 1]), mid, sv[p])
     start = base[c]
     end = start + sizes[won]
-    # The left child is every row <= threshold.  That is slots up to p unless
-    # the midpoint of two adjacent floats rounds up to the larger one.
     at = p + 1
-    for w in np.flatnonzero(sv[at] <= threshold):
-        at[w] = start[w] + np.searchsorted(sv[start[w]:end[w]], threshold[w], side="right")
     left_child = np.take(cum, at, axis=0) - np.take(cum, start, axis=0)
     right_child = counts[won] - left_child
     for k, f, t, a, b, e, lc, rc in zip(

@@ -98,7 +98,8 @@ def _starts(sorted_values: np.ndarray) -> np.ndarray:
     """Mask of the first element of each run of equal values.
 
     Sorting and masking is used instead of np.unique, which took 20 to 40
-    times as long as np.sort on a million int64 keys with numpy 2.4.
+    times as long as np.sort on a million int64 keys with numpy 2.4, and
+    whose first call imports numpy.ma (about 1 MB more peak RSS).
     """
     mask = np.ones(len(sorted_values), dtype=bool)
     mask[1:] = sorted_values[1:] != sorted_values[:-1]

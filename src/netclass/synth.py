@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import MAX_NODES, Graph, _build_graph
+from .graph import MAX_NODES, Graph, _build_graph, _starts
 from .seeding import derive_seed, make_rng
 
 FAMILIES = ("ER", "BA")
@@ -42,31 +42,45 @@ def barabasi_albert(n: int, m: int, seed: int) -> Graph:
     current degree (rejection on duplicates; uniform while all degrees are
     zero, which only happens for m = 1).  Edge count is always
     C(m, 2) + m*(n - m).
+
+    A draw r in [0, 1) picks the first node whose degree prefix sum exceeds
+    r * total.  The prefix sums are kept as float64 and updated in place:
+    every sum is an integer below 2**53, so each is exact and each
+    comparison is the one an int64 prefix would give.  The missing targets
+    are drawn in one call; a draw adds at most one new target, so no draw is
+    taken that one-at-a-time rejection would not take, and PCG64's
+    random(k) gives the same k doubles as k scalar calls.  Updating the
+    prefix still touches O(t) elements for node t, O(n**2) in all, but as
+    one vector add per node.
     """
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = make_rng(seed)
+    # cum[i] is the degree sum of nodes 0..i.
+    cum = np.zeros(n)
+    cum[:m] = np.arange(1, m + 1) * (m - 1.0)
+    ranks = np.arange(1.0, m + 1)
+    # Row t - m holds node t's sorted targets, then t itself.
+    rows = np.empty((n - m, m + 1), dtype=np.int64)
+    rows[:, m] = np.arange(m, n)
+    for row in rows:
+        t = row[m]
+        total = cum[t - 1]
+        if total > 0:
+            chosen = row[:0]
+            while len(chosen) < m:
+                drawn = np.searchsorted(cum[:t], rng.random(m - len(chosen)) * total, side="right")
+                chosen = np.sort(np.concatenate([chosen, drawn]))
+                chosen = chosen[_starts(chosen)]
+            row[:m] = chosen
+        else:
+            row[0] = rng.integers(t)
+        # The k-th smallest target and every node up to the next one gain k.
+        cum[row[0]:t] += np.repeat(ranks, row[1:] - row[:-1])
+        cum[t] = cum[t - 1] + m
     us, vs = np.triu_indices(m, 1)
-    us, vs = us.tolist(), vs.tolist()
-    deg = np.zeros(n, dtype=np.int64)
-    deg[:m] = m - 1
-    for t in range(m, n):
-        weights = deg[:t]
-        total = int(weights.sum())
-        cum = np.cumsum(weights)
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            if total > 0:
-                target = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            else:
-                target = int(rng.integers(t))
-            chosen.add(target)
-        targets = list(chosen)
-        deg[targets] += 1
-        us += targets
-        vs += [t] * m
-        deg[t] = m
-    return _build_graph(n, us, vs)
+    return _build_graph(n, np.concatenate([us, rows[:, :m].ravel()]),
+                        np.concatenate([vs, np.repeat(rows[:, m], m)]))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Everything here is written for clarity over speed and is only run on tiny
 graphs (n <= ~35) and tiny tables, so exponential algorithms are fine.  None of it shares
-code with the package under test, except `relabel`, a test helper that builds a package
-Graph.
+code with the package under test, except that `relabel` and
+`barabasi_albert_reference` build a package Graph from their edge lists.
 """
 
 import heapq
@@ -234,7 +234,11 @@ def _gini_gain(sv, sy, n_classes, parent_counts, parent_gini):
     gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
     gain = parent_gini - (n_left / n) * gini_left - (n_right / n) * gini_right
     best = int(np.argmax(gain))
-    threshold = (sv[cut[best]] + sv[cut[best] + 1]) / 2.0
+    lower, upper = sv[cut[best]], sv[cut[best] + 1]
+    # The midpoint, unless it rounds onto the upper value or overflows.
+    with np.errstate(over="ignore"):
+        mid = (lower + upper) / 2.0
+    threshold = mid if lower <= mid < upper else lower
     return float(gain[best]), float(threshold)
 
 
@@ -444,6 +448,34 @@ def stratified_kfold(labels, k, seed):
         for j, row in enumerate(perm):
             folds[j % k].append(int(row))
     return tuple(tuple(sorted(f)) for f in folds)
+
+
+def barabasi_albert_reference(n, m, seed):
+    """The reference for synth.barabasi_albert: the earlier loop, which
+    recomputes the int64 degree prefix for every new node and draws one
+    target at a time until it has m distinct ones."""
+    rng = np.random.default_rng(seed)
+    us, vs = np.triu_indices(m, 1)
+    us, vs = us.tolist(), vs.tolist()
+    deg = np.zeros(n, dtype=np.int64)
+    deg[:m] = m - 1
+    for t in range(m, n):
+        weights = deg[:t]
+        total = int(weights.sum())
+        cum = np.cumsum(weights)
+        chosen = set()
+        while len(chosen) < m:
+            if total > 0:
+                target = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            else:
+                target = int(rng.integers(t))
+            chosen.add(target)
+        targets = list(chosen)
+        deg[targets] += 1
+        us += targets
+        vs += [t] * m
+        deg[t] = m
+    return _build_graph(n, us, vs)
 
 
 def relabel(g: Graph, mapping: Sequence[int]) -> Graph:

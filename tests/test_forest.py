@@ -9,7 +9,12 @@ import pytest
 from test_golden import multiclass_csv
 
 from netclass import Dataset, ForestParams, forest_predict, forest_train
-from netclass.data import apply_standardize, feature_log_flags, fit_standardize
+from netclass.data import (
+    StandardizeParams,
+    apply_standardize,
+    feature_log_flags,
+    fit_standardize,
+)
 from netclass.features import read_features_csv
 from netclass.forest import (
     TREE_ARRAYS,
@@ -20,6 +25,9 @@ from netclass.forest import (
     train_tree,
 )
 from netclass.seeding import derive_seed, make_rng
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def arrays(tree):
@@ -104,6 +112,22 @@ class TestTrainTree:
             x = np.array([[0.0], [bad], [1.0], [bad]])
             with pytest.raises(ValueError, match="non-finite"):
                 train_tree(x, y, 1, 2, seed=0)
+
+    @pytest.mark.parametrize("low,high", [
+        (1.0 + EPS, 1.0 + 2 * EPS),  # the midpoint rounds up to the larger value
+        (1e308, 1.7e308),  # the midpoint overflows to inf
+        (-1.7e308, -1e308),  # ... or to -inf
+    ])
+    def test_cut_without_a_midpoint_between_takes_the_lower_value(self, low, high):
+        x = np.array([[low], [high], [low], [high]])
+        tree = train_tree(x, np.array([0, 1, 0, 1]), 1, 2, 0, n_classes=2)
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == low
+        assert tree.counts.tolist() == [[2, 2], [2, 0], [0, 2]]
+        assert tree.predict(x).tolist() == [0, 1, 0, 1]
+        standardize = StandardizeParams((False,), (0.0,), (1.0,))
+        text = forest_to_json(Forest((tree,), ForestParams(trees=1), standardize, ("a", "b")))
+        assert arrays(forest_from_json(text).trees[0]) == arrays(tree)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(8)

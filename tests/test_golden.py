@@ -13,6 +13,7 @@ from test_acceptance import read, run_all_commands
 from netclass.cli import SEED_ENV_VAR, main
 from netclass.data import feature_log_flags
 from netclass.features import CSV_HEADER
+from netclass.synth import barabasi_albert
 
 OUTPUTS = (
     "manifest.csv", "graphs/*.edges", "features.csv", "model.json", "pred.csv",
@@ -85,6 +86,17 @@ def test_stock_corpus_matches_golden_digests(tmp_path, monkeypatch):
     for name in list(STOCK_GOLDEN)[2:]:
         got[name] = sha256(read(tmp_path / name))
     assert got == STOCK_GOLDEN
+
+
+# barabasi_albert(15000, 10, 7), the shape of the benchmark's scale graph:
+# sha256 of its edge arrays (u, then v) as little-endian int64.
+BA_SCALE_GOLDEN = "9e7db3a6de78c8b99e19fd86f8591f41f86e1a02a1770ce06d10cb6bf10a197c"
+
+
+def test_scale_shaped_barabasi_albert_matches_golden_digest():
+    g = barabasi_albert(15000, 10, 7)
+    edges = np.stack(g.edge_arrays()).astype("<i8")
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == BA_SCALE_GOLDEN
 
 
 # The 500-row, 4-class table of multiclass_csv(), seed 7.  embed is left

@@ -10,7 +10,9 @@ that do not exist are common; trees grown together, in chunks of a few
 rows, are compared with the reference one tree at a time.  Matrix Market
 texts use every line end that str.splitlines knows and are compared with a
 copy of the earlier reader.
-Fold arrays are compared with the earlier list-of-folds deal.  t-SNE runs
+Fold arrays are compared with the earlier list-of-folds deal.
+Barabási–Albert graphs are compared with the loop that recomputes the
+degree prefix per node and draws one target at a time.  t-SNE runs
 are compared byte for byte with a loop that computes the fused KL and
 gradient on every step.
 """
@@ -41,6 +43,7 @@ from netclass.graph import (  # noqa: E402
     parse_matrix_market,
     write_edge_list,
 )
+from netclass.synth import barabasi_albert  # noqa: E402
 from netclass.tsne import _pairwise_sq_dists, joint_affinities, tsne  # noqa: E402
 
 # Deterministic example generation and no example database on disk, so a
@@ -145,7 +148,7 @@ def tree_tables(draw):
 
 
 # Column 1 holds adjacent floats whose midpoint rounds up to the larger one,
-# so its split sends every row left and the node splits again.
+# so its cut takes the lower value as its threshold.
 EPS = np.finfo(np.float64).eps
 ADJACENT = [1.0 + EPS, 1.0 + 2 * EPS, 1.0 + EPS, 1.0 + 2 * EPS, 3.0]
 
@@ -224,6 +227,22 @@ def test_fold_array_matches_reference_folds(case):
         assert np.nonzero(folds != f)[0].tolist() == [
             i for i in range(len(labels)) if i not in held
         ]
+
+
+@st.composite
+def ba_cases(draw):
+    n = draw(st.integers(2, 300))
+    return n, draw(st.integers(1, n - 1)), draw(st.integers(0, 2**64 - 1))
+
+
+@PROPERTY
+@given(ba_cases())
+@example((2, 1, 0))  # the one uniform draw: every degree is zero
+@example((40, 1, 3))
+@example((40, 39, 5))  # one new node takes every node: heavy rejection
+@example((300, 299, 11))
+def test_barabasi_albert_matches_reference_loop(case):
+    assert barabasi_albert(*case) == oracles.barabasi_albert_reference(*case)
 
 
 # Every line end str.splitlines knows; "\r\n" counts as one.

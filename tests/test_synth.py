@@ -95,6 +95,18 @@ class TestBarabasiAlbert:
         assert barabasi_albert(60, 4, seed=2) == barabasi_albert(60, 4, seed=2)
         assert barabasi_albert(60, 4, seed=2) != barabasi_albert(60, 4, seed=3)
 
+    def test_memory_linear_in_nodes_and_edges(self):
+        # About 150k edges: the target array and the edge keys _build_graph
+        # sorts are a few MiB each.  Python lists of the targets, as an
+        # earlier loop kept, took the peak past 15 MiB.
+        tracemalloc.start()
+        try:
+            barabasi_albert(15000, 10, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
+
     @pytest.mark.parametrize("n,m", [(5, 0), (5, 5), (5, 6)])
     def test_bad_m(self, n, m):
         with pytest.raises(ValueError, match="1 <= m < n"):
