@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Everything here is written for clarity over speed and is only run on tiny
-graphs (n <= ~35) and tiny tables, so exponential algorithms are fine.  None of it shares
+graphs (n <= ~35; up to 300 nodes for the generator reference) and tiny tables, so
+exponential algorithms are fine.  None of it shares
 code with the package under test, except that `relabel` and
 `barabasi_albert_reference` build a package Graph from their edge lists.
 """

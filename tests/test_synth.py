@@ -97,8 +97,7 @@ class TestBarabasiAlbert:
 
     def test_memory_linear_in_nodes_and_edges(self):
         # About 150k edges: the target array and the edge keys _build_graph
-        # sorts are a few MiB each.  Python lists of the targets, as an
-        # earlier loop kept, took the peak past 15 MiB.
+        # sorts are a few MiB each, about 10 MiB together at the peak.
         tracemalloc.start()
         try:
             barabasi_albert(15000, 10, seed=7)
