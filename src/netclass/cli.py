@@ -11,7 +11,8 @@ and checked (it must be at least 1) but currently has no effect.
 This module only parses and merges settings.  Each setting's range is
 checked by the library step that uses it (the forest, the folds,
 k-means, t-SNE, the overlap report), which raises ValueError; main maps
-every ValueError to exit 1.
+every ValueError to exit 1.  Every input file, the config included, is read
+through _parse_file, so each error in one names its path.
 """
 
 from __future__ import annotations
@@ -116,16 +117,6 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _read_text(path: str, newline: "str | None" = None) -> str:
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as handle:
-            return handle.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {f.name: f.default for f in fields(RunConfig)}
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -136,9 +127,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
             ) from None
-    config_path = getattr(args, "config", None)
-    if config_path:
-        values.update(parse_config_text(_read_text(config_path)))
+    if args.config:  # every command takes --config
+        values.update(_parse_file(args.config, parse_config_text))
     for key in values:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -152,7 +142,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 @contextlib.contextmanager
 def _writing(path: str):
-    """Report an OSError while writing path as a ValueError, like _read_text."""
+    """Report an OSError while writing path as a ValueError, like _parse_file."""
     try:
         yield
     except OSError as exc:
@@ -183,8 +173,14 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _parse_file(path: str, parse, newline: "str | None" = None):
-    """Return parse(text of path), naming path in any ValueError parse raises."""
-    text = _read_text(path, newline)
+    """Return parse(text of path), naming path in any error reading or parsing."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     try:
         return parse(text)
     except ValueError as exc:
@@ -206,6 +202,8 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
         if len(row) < 3:
             raise ValueError(f"{path} line {lineno}: expected 3+ columns")
         graph_path, name, category = row[0], row[1], row[2]
+        if not graph_path:
+            raise ValueError(f"{path} line {lineno}: empty graph path")
         if not name:
             raise ValueError(f"{path} line {lineno}: empty graph name")
         if name in seen:

@@ -3,7 +3,8 @@
 Standardization never leaks across folds: each fold trains its own forest,
 and forest training fits its transform on the training rows alone.  The
 fitted per-fold parameters are kept on the result so the isolation can be
-checked from outside.
+checked from outside.  cross_validate counts the confusion matrix of its
+pooled predictions; a ConfusionMatrix holds only the counts and label names.
 """
 
 from __future__ import annotations
@@ -45,23 +46,6 @@ class ConfusionMatrix:
 
     counts: np.ndarray
     label_names: tuple[str, ...]
-
-    @classmethod
-    def from_predictions(
-        cls, true: np.ndarray, predicted: np.ndarray, label_names: tuple[str, ...]
-    ) -> "ConfusionMatrix":
-        t = np.asarray(true, dtype=np.int64)
-        p = np.asarray(predicted, dtype=np.int64)
-        if t.shape != p.shape or t.ndim != 1:
-            raise ValueError("true and predicted labels must be equal-length vectors")
-        if len(t) == 0:
-            raise ValueError("cannot build a confusion matrix from no predictions")
-        kk = len(label_names)
-        if t.min() < 0 or t.max() >= kk or p.min() < 0 or p.max() >= kk:
-            raise ValueError("label index outside label table")
-        counts = np.zeros((kk, kk), dtype=np.int64)
-        np.add.at(counts, (t, p), 1)
-        return cls(counts, tuple(label_names))
 
     @property
     def accuracy(self) -> float:
@@ -107,9 +91,9 @@ def cross_validate(
         fold_params.append(forest.standardize)
         rows = np.nonzero(folds == f)[0]
         predictions[rows], votes[rows] = forest_predict(forest, dataset.matrix[rows])
-    confusion = ConfusionMatrix.from_predictions(
-        dataset.labels, predictions, dataset.label_names
-    )
+    counts = np.zeros((dataset.n_classes, dataset.n_classes), dtype=np.int64)
+    np.add.at(counts, (dataset.labels, predictions), 1)
+    confusion = ConfusionMatrix(counts, dataset.label_names)
     return CVResult(folds, predictions, votes, confusion, tuple(fold_params))
 
 

@@ -345,7 +345,8 @@ def write_features_csv(
 def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:
     """Read a feature CSV back into (names, categories, matrix).
 
-    The header must match the canonical layout exactly.
+    The header must match the canonical layout exactly, and every feature
+    cell must hold a finite number.
     """
     records = csv_records(src.read(), "feature CSV")
     _, header = next(records)
@@ -359,4 +360,9 @@ def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:
         categories.append(row[1])
         rows.append([float(x) for x in row[2:]])
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(FEATURE_NAMES)))
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"feature CSV row for {names[i]!r}: {FEATURE_NAMES[j]} is "
+                         f"{matrix[i, j]}, not a finite number")
     return names, categories, matrix

@@ -6,17 +6,17 @@ derive_seed(master, 2t+1), so any scheduling of tree construction yields the
 same model.  All ties (equal Gini gain, equal votes) break toward the lowest
 feature index / threshold / class index.
 
-All trees of a forest grow in lockstep (grow_trees).  Each round takes from
-every live tree the next node in its preorder that can split; leaves on the
-way are recorded and draw nothing.  That node draws its candidate columns
-from its own tree's generator, so each tree sees the same draws as when it
-is grown alone.  The round's nodes are then scored in one segmented numpy
-pass per chunk of CHUNK_ROWS rows, so the cost of a numpy call is paid per
-chunk, not per node.  Rows are ordered by dense rank per column, computed
-once per forest; equal values may come out in any order, which changes no
-gain, since a cut between equal values is not scored and the class counts at
-a cut between distinct values do not depend on it.  train_tree is the
-one-tree case, so there is one split search.
+All trees of a forest grow in lockstep (_grow_trees, whose one entry is
+forest_train).  Each round takes from every live tree the next node in its
+preorder that can split; leaves on the way are recorded and draw nothing.
+That node draws its candidate columns from its own tree's generator, so each
+tree sees the same draws as when it is grown alone.  The round's nodes are
+then scored in one segmented numpy pass per chunk of CHUNK_ROWS rows, so the
+cost of a numpy call is paid per chunk, not per node.  Rows are ordered by
+dense rank per column, computed once per forest; equal values may come out
+in any order, which changes no gain, since a cut between equal values is not
+scored and the class counts at a cut between distinct values do not depend
+on it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ForestParams:
 
     features_per_split=None means round(sqrt(n_features)).  log_flags is the
     per-column log-transform layout handed to standardization (None = plain
-    z-score).
+    z-score), which checks its length.
     """
 
     trees: int = 100
@@ -66,8 +66,6 @@ class ForestParams:
             raise ValueError(
                 f"features_per_split {fps} outside 1..{n_features}"
             )
-        if self.log_flags is not None and len(self.log_flags) != n_features:
-            raise ValueError("log_flags length does not match feature count")
 
     def resolved_features_per_split(self, n_features: int) -> int:
         if self.features_per_split is not None:
@@ -108,31 +106,6 @@ class Forest:
     params: ForestParams
     standardize: StandardizeParams
     label_names: tuple[str, ...]
-
-
-def train_tree(
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    features_per_split: int,
-    min_split: int,
-    seed: int,
-    n_classes: "int | None" = None,
-) -> DecisionTree:
-    """Grow one CART tree with Gini impurity and midpoint thresholds.
-
-    A node becomes a leaf when it is pure, holds fewer than min_split
-    samples, or no candidate split has strictly positive gain.  Each node
-    examines its own random subset of feature columns.  This is grow_trees
-    with one tree on every row, so a forest's trees equal this call's.
-    """
-    x = np.asarray(matrix, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[0] != y.shape[0]:
-        raise ValueError("matrix and labels disagree or are empty")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    return grow_trees(x, y, [np.arange(len(x))], features_per_split, min_split,
-                      [seed], n_classes)[0]
 
 
 class _Growth:
@@ -183,7 +156,7 @@ class _Growth:
         )
 
 
-def grow_trees(
+def _grow_trees(
     x: np.ndarray,
     y: np.ndarray,
     samples: list,
@@ -192,15 +165,17 @@ def grow_trees(
     seeds: list,
     n_classes: int,
 ) -> list:
-    """Grow tree t on the rows x[samples[t]], y[samples[t]], drawing its
-    candidate columns from make_rng(seeds[t]); see the module docstring for
-    the lockstep schedule."""
+    """Grow CART tree t on the rows x[samples[t]], y[samples[t]], drawing
+    each node's features_per_split candidate columns (checked by forest_train)
+    from make_rng(seeds[t]); see the module docstring for the lockstep
+    schedule.  A node takes the cut of greatest Gini gain, at the midpoint of
+    the two values it separates (the lower one if no float lies between).  It
+    stays a leaf when pure, when it holds fewer than min_split rows, or when
+    no cut has strictly positive gain."""
     # A NaN threshold would send every row right and never end the split.
     if not np.isfinite(x).all():
         raise ValueError("matrix contains non-finite values")
     n_features = x.shape[1]
-    if not 1 <= features_per_split <= n_features:
-        raise ValueError("features_per_split outside 1..n_features")
     # Values and their dense ranks column by column: (row, column) is the
     # flat index column * n_rows + row.
     columns = x.T.ravel()
@@ -325,9 +300,9 @@ def forest_train(dataset: Dataset, params: ForestParams, master_seed: int) -> Fo
     samples = [make_rng(derive_seed(master_seed, 2 * t)).integers(0, n, size=n)
                for t in range(params.trees)]
     seeds = [derive_seed(master_seed, 2 * t + 1) for t in range(params.trees)]
-    trees = grow_trees(xs, dataset.labels, samples,
-                       params.resolved_features_per_split(n_features),
-                       params.min_split, seeds, dataset.n_classes)
+    trees = _grow_trees(xs, dataset.labels, samples,
+                        params.resolved_features_per_split(n_features),
+                        params.min_split, seeds, dataset.n_classes)
     return Forest(tuple(trees), params, std_params, dataset.label_names)
 
 

@@ -244,7 +244,7 @@ def _gini_gain(sv, sy, n_classes, parent_counts, parent_gini):
 
 
 def cart_tree(x, y, features_per_split, min_split, seed, n_classes):
-    """The reference for forest.train_tree: the five preorder node arrays
+    """The reference for one tree of forest._grow_trees: the five preorder node arrays
     (feature, threshold, left, right, counts), each node's candidate columns
     scored one at a time and the best split kept under a strict `>`.
 

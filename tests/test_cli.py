@@ -99,6 +99,8 @@ OUT_FLAGS = {
     "cluster": ["--out", "work/c.csv"],
     "predict": ["--out", "work/p.csv"],
 }
+NON_FINITE = ("nan", "inf")
+TABLE_COMMANDS = ("train", "evaluate", "embed", "cluster")
 BAD_SETTINGS = [
     *[(command, flags, message)
       for command in ("train", "evaluate")
@@ -150,7 +152,23 @@ BAD_SETTINGS = [
     # Specs above graph.MAX_NODES, refused before anything is allocated.
     *[("generate", [], f"huge_{family}.ini: bad [{family}] section: "
        "10000000000000 nodes exceed the limit of 3037000499") for family in ("ba", "er")],
+    ("features", [], "empty_path.csv line 3: empty graph path"),
+    # A feature cell that is not a finite number, named by its row and column.
+    *[(command, [], f"{value}_{command}.csv: feature CSV row for 'g': "
+       f"assortativity is {value}, not a finite number")
+      for value in NON_FINITE for command in TABLE_COMMANDS],
+    # One row per category: every category deals its row to fold 0.
+    ("evaluate", ["--folds", "3"], "fold 0 leaves no training rows"),
 ]
+
+
+def feature_line(name, category, assortativity="1"):
+    """A feature CSV data line whose every feature but assortativity is 1."""
+    return ",".join([name, category] + [
+        assortativity if feature == "assortativity" else "1" for feature in FEATURE_NAMES
+    ])
+
+
 # The inputs of the last cases of BAD_SETTINGS, in order.  Each is read in
 # place of the one in INPUTS, or in place of a flag value equal to its file
 # name.  It is written beside the corpus, so its graph paths resolve, and
@@ -172,6 +190,11 @@ BAD_INPUT_FILES = [
      "nodes_max = 10000000000000\nm_min = 2\nm_max = 4\n"),
     ("huge_er.ini", "[er]\ncount = 1\nnodes_min = 10000000000000\n"
      "nodes_max = 10000000000000\navg_degree_min = 2\navg_degree_max = 4\n"),
+    ("empty_path.csv", "path,name,category\ngraphs/ba_0000.edges,g0,BA\n,g1,BA\n"),
+    *[(f"{value}_{command}.csv", f"{CSV_HEADER}\n{feature_line('g', 'BA', value)}\n")
+      for value in NON_FINITE for command in TABLE_COMMANDS],
+    ("three_categories.csv",
+     "\n".join([CSV_HEADER] + [feature_line(name, name) for name in "abc"]) + "\n"),
 ]
 BAD_INPUTS = {
     message: input_file
@@ -208,11 +231,11 @@ def test_out_of_range_setting_exits_1_and_writes_nothing(
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, corpus, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 3\n", encoding="utf-8")
+        cfg.write_text("trees = 5\nbogus = 3\n", encoding="utf-8")
         code = main(["train", str(corpus["features"]),
                      "--model-out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert code == 1
-        assert "unknown key" in capsys.readouterr().err
+        assert f"{cfg}: config line 2: unknown key 'bogus'" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path, corpus, capsys):
         cfg = tmp_path / "run.cfg"
@@ -220,7 +243,7 @@ class TestConfigFile:
         code = main(["train", str(corpus["features"]),
                      "--model-out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert code == 1
-        assert "config line 1" in capsys.readouterr().err
+        assert f"{cfg}: config line 1: bad value 'many'" in capsys.readouterr().err
 
     def test_missing_equals_rejected(self, tmp_path, corpus, capsys):
         cfg = tmp_path / "run.cfg"
@@ -228,7 +251,7 @@ class TestConfigFile:
         code = main(["train", str(corpus["features"]),
                      "--model-out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert code == 1
-        assert "expected key=value" in capsys.readouterr().err
+        assert f"{cfg}: config line 1: expected key=value" in capsys.readouterr().err
 
     def test_values_take_effect(self, tmp_path, corpus, capsys):
         cfg = tmp_path / "run.cfg"

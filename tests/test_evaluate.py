@@ -87,6 +87,12 @@ class TestCrossValidate:
         assert np.all(result.predictions >= 0)
         assert result.confusion.counts.sum() == ds.n_rows
 
+    def test_fold_without_training_rows_rejected(self):
+        # one row per class: every class deals its row to fold 0
+        ds = Dataset.from_feature_table(["a", "b", "c"], ["x", "y", "z"], np.eye(3))
+        with pytest.raises(ValueError, match="fold 0 leaves no training rows"):
+            cross_validate(ds, ForestParams(trees=2), k=3, seed=0)
+
     def test_fold_standardization_fits_train_rows_only(self):
         ds = separable_dataset(seed=8)
         result = cross_validate(ds, ForestParams(trees=3), k=2, seed=2)
@@ -121,6 +127,10 @@ class TestCrossValidate:
             if result.predictions[i] != ds.labels[i]
         ]
         assert expected_bad
+        pairs = list(zip(ds.labels.tolist(), result.predictions.tolist()))
+        assert result.confusion.counts.tolist() == [
+            [pairs.count((t, p)) for p in (0, 1)] for t in (0, 1)
+        ]
         header, *rows = misclass_to_csv(ds, result).splitlines()
         assert header == "name,category,predicted,votes_x,votes_y"
         assert [row.split(",")[0] for row in rows] == expected_bad
@@ -132,35 +142,16 @@ class TestCrossValidate:
 
 class TestConfusionMatrix:
     def test_pinned_counts(self):
-        true = np.array([0, 0, 1, 1, 1])
-        pred = np.array([0, 1, 1, 1, 0])
-        cm = ConfusionMatrix.from_predictions(true, pred, ("BA", "ER"))
-        assert cm.counts.tolist() == [[1, 1], [1, 2]]
+        cm = ConfusionMatrix(np.array([[1, 1], [1, 2]]), ("BA", "ER"))
         assert cm.accuracy == pytest.approx(0.6)
         assert cm.counts.sum() - np.trace(cm.counts) == 2
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no predictions"):
-            ConfusionMatrix.from_predictions(np.array([]), np.array([]), ("a",))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            ConfusionMatrix.from_predictions(np.array([0]), np.array([0, 1]), ("a",))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="label table"):
-            ConfusionMatrix.from_predictions(np.array([0]), np.array([5]), ("a", "b"))
-
     def test_csv_emitter(self):
-        cm = ConfusionMatrix.from_predictions(
-            np.array([0, 1, 1]), np.array([0, 1, 0]), ("BA", "ER")
-        )
+        cm = ConfusionMatrix(np.array([[1, 0], [1, 1]]), ("BA", "ER"))
         assert confusion_to_csv(cm) == "category,BA,ER\nBA,1,0\nER,1,1\n"
 
     def test_text_emitter_reports_accuracy(self):
-        cm = ConfusionMatrix.from_predictions(
-            np.array([0, 1]), np.array([0, 1]), ("BA", "ER")
-        )
+        cm = ConfusionMatrix(np.array([[1, 0], [0, 1]]), ("BA", "ER"))
         text = confusion_to_text(cm)
         assert "accuracy 1.000000" in text
         assert "BA" in text and "ER" in text
@@ -227,7 +218,7 @@ class TestOverlap:
 class TestMisclassCsv:
     def test_golden_output(self):
         ds = Dataset.from_feature_table(["g3", "g7"], ["BA", "ER"], np.zeros((2, 1)))
-        cm = ConfusionMatrix.from_predictions(ds.labels, np.array([0, 0]), ds.label_names)
+        cm = ConfusionMatrix(np.array([[1, 0], [1, 0]]), ds.label_names)
         result = CVResult(
             folds=np.array([0, 1]),
             predictions=np.array([0, 0]),

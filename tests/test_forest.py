@@ -20,14 +20,21 @@ from netclass.forest import (
     TREE_ARRAYS,
     Forest,
     ModelFormatError,
+    _grow_trees,
     forest_from_json,
     forest_to_json,
-    train_tree,
 )
 from netclass.seeding import derive_seed, make_rng
 
 
 EPS = np.finfo(np.float64).eps
+
+
+def train_tree(x, y, features_per_split, min_split, seed, n_classes=None):
+    """One tree grown on every row of x, as forest_train grows each tree."""
+    n_classes = int(y.max()) + 1 if n_classes is None else n_classes
+    return _grow_trees(x, y, [np.arange(len(x))], features_per_split, min_split, [seed],
+                       n_classes)[0]
 
 
 def arrays(tree):

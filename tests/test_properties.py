@@ -38,7 +38,7 @@ from netclass.features import (  # noqa: E402
     triangle_counts,
 )
 from netclass import forest  # noqa: E402
-from netclass.forest import TREE_ARRAYS, grow_trees, train_tree  # noqa: E402
+from netclass.forest import TREE_ARRAYS, _grow_trees  # noqa: E402
 from netclass.graph import (  # noqa: E402
     parse_matrix_market,
     write_edge_list,
@@ -159,7 +159,8 @@ ADJACENT = [1.0 + EPS, 1.0 + 2 * EPS, 1.0 + EPS, 1.0 + 2 * EPS, 3.0]
           np.array([0, 1, 0, 1, 1]), 1, 2, 4, 2))
 def test_train_tree_matches_reference_split_search(table):
     x, y, features_per_split, min_split, seed, n_classes = table
-    tree = train_tree(x, y, features_per_split, min_split, seed, n_classes=n_classes)
+    tree, = _grow_trees(x, y, [np.arange(len(x))], features_per_split, min_split, [seed],
+                        n_classes)
     expected = oracles.cart_tree(x, y, features_per_split, min_split, seed, n_classes)
     for name, want in zip(TREE_ARRAYS, expected):
         got = getattr(tree, name)
@@ -197,7 +198,7 @@ def test_trees_grown_together_match_reference_one_by_one(table):
     x, y, samples, features_per_split, min_split, seeds, n_classes, cap = table
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(forest, "CHUNK_ROWS", cap)
-        trees = grow_trees(x, y, samples, features_per_split, min_split, seeds, n_classes)
+        trees = _grow_trees(x, y, samples, features_per_split, min_split, seeds, n_classes)
     assert len(trees) == len(samples)
     for tree, rows, seed in zip(trees, samples, seeds):
         expected = oracles.cart_tree(x[rows], y[rows], features_per_split, min_split, seed,
