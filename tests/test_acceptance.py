@@ -223,17 +223,17 @@ def blob_points(rng):
 def test_ac4_embedding_structure_recovery():
     start = time.monotonic()
     points, truth = blob_points(np.random.default_rng(99))
-    hits = 0
     scores = []
-    for seed in range(5):
-        emb = tsne(points, perplexity=20.0, iterations=500, seed=seed)
+    # Learning rate 50 suits 90 points (Belkina et al., Nat. Commun. 10, 5415,
+    # 2019); the default 200 leaves recovery below 0.95 at some seeds.
+    for seed in range(10):
+        emb = tsne(points, perplexity=20.0, iterations=500, learning_rate=50.0, seed=seed)
         clusters = kmeans(emb.points, 3, restarts=10, seed=seed).assignments
         best = max(
             float(np.mean(np.array(perm)[clusters] == truth))
             for perm in permutations(range(3))
         )
         scores.append(best)
-        hits += best >= 0.95
 
     grad_rng = np.random.default_rng(17)
     x = grad_rng.normal(size=(10, 4))
@@ -251,7 +251,7 @@ def test_ac4_embedding_structure_recovery():
     rel = float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)))
 
     elapsed = time.monotonic() - start
-    ok = hits >= 4 and rel <= 1e-4 and elapsed < 120
+    ok = min(scores) >= 0.95 and rel <= 1e-4 and elapsed < 120
     _report(
         "AC-4", ok,
         f"recovery {', '.join(f'{s:.3f}' for s in scores)}; "

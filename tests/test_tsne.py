@@ -89,14 +89,17 @@ class TestOptimization:
     def test_blobs_separate(self):
         rng = np.random.default_rng(8)
         x = blobs(rng)
-        emb = tsne(x, perplexity=10.0, iterations=500, seed=0)
-        # each embedded point must sit closer to its own blob mean than to
-        # the other blob means
-        means = np.array([emb.points[i * 20:(i + 1) * 20].mean(axis=0) for i in range(3)])
-        dists = ((emb.points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        recovered = dists.argmin(axis=1)
         truth = np.repeat(np.arange(3), 20)
-        assert (recovered == truth).mean() >= 0.95
+        # Learning rate 50 suits 60 points; at the default 200 the blobs stay
+        # mixed at some seeds after 500 iterations.
+        for seed in range(10):
+            emb = tsne(x, perplexity=10.0, iterations=500, learning_rate=50.0, seed=seed)
+            # each embedded point must sit closer to its own blob mean than
+            # to the other blob means
+            means = np.array([emb.points[i * 20:(i + 1) * 20].mean(axis=0) for i in range(3)])
+            dists = ((emb.points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+            recovered = dists.argmin(axis=1)
+            assert (recovered == truth).mean() >= 0.95, seed
 
 
 class TestValidation:
