@@ -147,7 +147,7 @@ def cluster_category_overlap(
         for j in range(i + 1, kk):
             if col_tot[j] == 0:
                 continue
-            mass = float(vi @ (counts[:, j] / col_tot[j]))
+            mass = float((vi * (counts[:, j] / col_tot[j])).sum())
             if mass >= threshold:
                 suggestions.append((label_names[i], label_names[j], mass))
     return OverlapReport(counts, tuple(label_names), purity, tuple(suggestions), threshold)

@@ -346,7 +346,7 @@ def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:
     """Read a feature CSV back into (names, categories, matrix).
 
     The header must match the canonical layout exactly, and every feature
-    cell must hold a finite number.
+    cell must hold a finite number; an error names the row and the column.
     """
     records = csv_records(src.read(), "feature CSV")
     _, header = next(records)
@@ -358,7 +358,14 @@ def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:
             raise ValueError(f"feature CSV row for {row[0]!r} has wrong arity")
         names.append(row[0])
         categories.append(row[1])
-        rows.append([float(x) for x in row[2:]])
+        values = []
+        for feature, cell in zip(FEATURE_NAMES, row[2:]):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(f"feature CSV row for {row[0]!r}: {feature} is {cell!r}, "
+                                 "not a number") from None
+        rows.append(values)
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(FEATURE_NAMES)))
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:

@@ -378,29 +378,28 @@ def matrix_market_outcome(parse, text):
     return g.node_count, list(g.edges()), labels
 
 
-def _sq_dists(y):
-    sq = (y * y).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
-
-
 def kl_and_grad(p, y):
-    """KL(P || Q) and its gradient for positions y, fused as the parent
-    release computed them: every N x N intermediate a fresh array."""
-    num = 1.0 / (1.0 + _sq_dists(y))
+    """KL(P || Q) and its gradient for positions y, in full N x N arrays:
+    the attractive sum minus the repulsive sum over the kernel's total, and
+    the KL over the entries with p > 1e-12 as a sum of row sums."""
+    dx = y[:, 0, None] - y[None, :, 0]
+    dy = y[:, 1, None] - y[None, :, 1]
+    num = 1.0 / (1.0 + (dx * dx + dy * dy))
     np.fill_diagonal(num, 0.0)
-    q = np.maximum(num / num.sum(), 1e-12)
-    mask = p > 1e-12
-    kl = float((p[mask] * np.log(p[mask] / q[mask])).sum())
-    w = (p - q) * num
-    grad = 4.0 * (y * w.sum(axis=1)[:, None] - w @ y)
+    total = num.sum(axis=1).sum()
+    q = np.maximum(num / total, 1e-12)
+    terms = p * np.log(p / q)
+    terms[p <= 1e-12] = 0.0
+    kl = float(terms.sum(axis=1).sum())
+    attractive = np.stack([(num * d * p).sum(axis=1) for d in (dx, dy)], axis=1)
+    repulsive = np.stack([(num * d * num).sum(axis=1) for d in (dx, dy)], axis=1)
+    grad = 4.0 * (attractive - repulsive / total)
     return kl, grad
 
 
 def tsne_reference(p, iterations, learning_rate, seed):
-    """The reference for tsne.tsne given its joint affinities p: the parent
-    release's loop, which computes the fused KL and gradient on every step.
+    """The reference for tsne.tsne given its joint affinities p: a loop that
+    computes the KL and gradient in full N x N arrays on every step.
 
     Returns (points, kl, kl_trace), or raises the package's ValueError when
     the run diverges.  The start draws the same PCG64 stream

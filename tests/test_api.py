@@ -3,7 +3,9 @@
 Everything else is imported from its submodule, so a name added to
 ``netclass.__all__`` without a README example fails here.  The examples
 themselves run here too, so a change to a documented call shape fails.
-The package's own imports are checked against its one runtime dependency.
+The package's own imports are checked against its one runtime dependency,
+and its code against the BLAS calls that would make bytes depend on the
+thread count.
 """
 
 import ast
@@ -75,3 +77,26 @@ def test_numpy_is_the_only_runtime_dependency():
             for module in modules:
                 top = module.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", (source.name, module)
+
+
+BLAS_NAMES = {"matmul", "dot", "einsum", "tensordot", "inner", "linalg"}
+
+
+def _dotted_names(node):
+    while isinstance(node, ast.Attribute):
+        yield node.attr
+        node = node.value
+    if isinstance(node, ast.Name):
+        yield node.id
+
+
+def test_no_blas_call_in_the_package():
+    """A BLAS kernel adds in an order that depends on its thread count, so no
+    output may go through one: no @ operator and no matrix-product call."""
+    for source in sorted(Path(netclass.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.MatMult), (source.name, node.lineno)
+            elif isinstance(node, ast.Call):
+                names = set(_dotted_names(node.func))
+                assert not names & BLAS_NAMES, (source.name, node.lineno, names)

@@ -159,14 +159,15 @@ BAD_SETTINGS = [
       for value in NON_FINITE for command in TABLE_COMMANDS],
     # One row per category: every category deals its row to fold 0.
     ("evaluate", ["--folds", "3"], "fold 0 leaves no training rows"),
+    # A feature cell that is not a number at all, named by its row and column.
+    *[(command, [], f"abc_{command}.csv: feature CSV row for 'g': nodes is 'abc', not a number")
+      for command in TABLE_COMMANDS],
 ]
 
 
-def feature_line(name, category, assortativity="1"):
-    """A feature CSV data line whose every feature but assortativity is 1."""
-    return ",".join([name, category] + [
-        assortativity if feature == "assortativity" else "1" for feature in FEATURE_NAMES
-    ])
+def feature_line(name, category, **cells):
+    """A feature CSV data line whose every feature but those in cells is 1."""
+    return ",".join([name, category] + [cells.get(feature, "1") for feature in FEATURE_NAMES])
 
 
 # The inputs of the last cases of BAD_SETTINGS, in order.  Each is read in
@@ -191,10 +192,13 @@ BAD_INPUT_FILES = [
     ("huge_er.ini", "[er]\ncount = 1\nnodes_min = 10000000000000\n"
      "nodes_max = 10000000000000\navg_degree_min = 2\navg_degree_max = 4\n"),
     ("empty_path.csv", "path,name,category\ngraphs/ba_0000.edges,g0,BA\n,g1,BA\n"),
-    *[(f"{value}_{command}.csv", f"{CSV_HEADER}\n{feature_line('g', 'BA', value)}\n")
+    *[(f"{value}_{command}.csv",
+       f"{CSV_HEADER}\n{feature_line('g', 'BA', assortativity=value)}\n")
       for value in NON_FINITE for command in TABLE_COMMANDS],
     ("three_categories.csv",
      "\n".join([CSV_HEADER] + [feature_line(name, name) for name in "abc"]) + "\n"),
+    *[(f"abc_{command}.csv", f"{CSV_HEADER}\n{feature_line('g', 'BA', nodes='abc')}\n")
+      for command in TABLE_COMMANDS],
 ]
 BAD_INPUTS = {
     message: input_file

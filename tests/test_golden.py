@@ -6,10 +6,15 @@ purpose and declare it in CHANGES.md.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from test_acceptance import read, run_all_commands
 
+import netclass
 from netclass.cli import SEED_ENV_VAR, main
 from netclass.data import feature_log_flags
 from netclass.features import CSV_HEADER
@@ -30,7 +35,7 @@ GOLDEN = {
     "reports/confusion.csv": "122cca701d09786d9216d68230b6f1f2d70e0363fd6fd0540c16bf7818c068c1",
     "reports/confusion.txt": "d7f9bfdd9d051b3dbf8d44028d03d2dd6cf1ab3a579c34648d1775d25e68e78a",
     "reports/misclassified.csv": "e636aa91209196f364bcfda749ba49ccbbe556cc2e9ba00f7cc6ef47b9582f22",
-    "embed.csv": "d0ada52bf834e40357d578c964a8cba6896b3c8ff4f84aded9d149a5db4d2316",
+    "embed.csv": "e7e41a89551c6e3666f1e6bd1a29ded4f63cad85915ba83c7aa10eb41964b079",
     "clusters.csv": "01625c3ff015783c15f0d2fd7d062ff170ed2b47c6c46dff1991199adf29d2c3",
     "overlap.txt": "60c76bf1e05e34160122757413c3b5448abfe50851d893362e881f69262949d4",
 }
@@ -46,7 +51,7 @@ STOCK_GOLDEN = {
     "reports/confusion.csv": "def18a0cdbf48ccfc5051605298c0a68d26a28ddd822924b49f596220f580db1",
     "reports/confusion.txt": "0974612911ab91d6789b907526be39ebfc9548895090b5bbda90de8b2dde2195",
     "reports/misclassified.csv": "319dea07dd0028473bdb0485043de1f4928c92d6290d7c4b71f212cf65b63982",
-    "embed.csv": "ea495095bbd81343e659b8ab77b68567e36edd46d10716c8495696a64d5ae2e7",
+    "embed.csv": "3aa546573059e038f6bc006e7adc89bdde1e834ba46859ae472588f900def6af",
     "clusters.csv": "466960645998911708d163d93ef18c0a7043ebc9d50c6c93d094494e46c0df20",
     "overlap.txt": "51374520678fb34f47266d6f84ef3849ec1da2693c334dc157c258cc29251503",
 }
@@ -99,13 +104,13 @@ def test_scale_shaped_barabasi_albert_matches_golden_digest():
     assert hashlib.sha256(edges.tobytes()).hexdigest() == BA_SCALE_GOLDEN
 
 
-# The 500-row, 4-class table of multiclass_csv(), seed 7.  embed is left
-# out: at 500 rows its bytes depend on the BLAS thread count.
+# The 500-row, 4-class table of multiclass_csv(), seed 7.
 MULTICLASS_GOLDEN = {
     "model.json": "aeb6c006f3d9e4081cb7f7ccde87aa6a3323b37a91fc70d3e0cfbf12a21b717b",
     "reports/confusion.csv": "94f6579e685175b608b46e1c89f379cf619de5493701d7887848f6ba84b34b74",
     "reports/confusion.txt": "119a30eb2cbe1d6cadbc43bf6ba2a2d0b17f2d17c806ad36bd194418084c4d2e",
     "reports/misclassified.csv": "06567a0c5dccc0e0bfba5cb180c1d39d0a8a0ae3a3741a9c29448e433d543e1b",
+    "embed.csv": "18e4047d5915dfb1de9dc8f187a0528776f6d36553e17e7af9b50bad3556326b",
 }
 
 
@@ -130,4 +135,24 @@ def test_multiclass_table_matches_golden_digests(tmp_path, monkeypatch):
     assert main(["train", "table.csv", "--model-out", "model.json", "--seed", "7"]) == 0
     assert main(["evaluate", "table.csv", "--folds", "5", "--out-dir", "reports",
                  "--seed", "7"]) == 0
+    assert main(["embed", "table.csv", "--out", "embed.csv", "--seed", "7"]) == 0
     assert {name: sha256(read(tmp_path / name)) for name in MULTICLASS_GOLDEN} == MULTICLASS_GOLDEN
+
+
+def test_embedding_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """embed on the 500-row table writes the same bytes with the BLAS and
+    OpenMP thread pools at one thread and at two.  Each run is a fresh
+    process, because the pools read these variables when numpy loads."""
+    (tmp_path / "table.csv").write_text(multiclass_csv())
+    src = str(Path(netclass.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop(SEED_ENV_VAR, None)
+        out = f"embed_{threads}.csv"
+        subprocess.run([sys.executable, "-m", "netclass.cli", "embed", "table.csv",
+                        "--out", out, "--seed", "7"],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        digests.append(sha256(read(tmp_path / out)))
+    assert digests[0] == digests[1]

@@ -12,11 +12,13 @@ texts use every line end that str.splitlines knows and are compared with a
 copy of the earlier reader.
 Fold arrays are compared with the earlier list-of-folds deal.
 Barabási–Albert graphs are compared with the loop that recomputes the
-degree prefix per node and draws one target at a time.  t-SNE runs
-are compared byte for byte with a loop that computes the fused KL and
-gradient on every step.
+degree prefix per node and draws one target at a time.  t-SNE runs, in
+blocks of 1, 7 or the module's own count of rows, are compared byte for
+byte with a loop that computes the KL and gradient in full N x N arrays on
+every step.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -45,6 +47,9 @@ from netclass.graph import (  # noqa: E402
 )
 from netclass.synth import barabasi_albert  # noqa: E402
 from netclass.tsne import _pairwise_sq_dists, joint_affinities, tsne  # noqa: E402
+
+# The module, which the package's tsne function shadows as an attribute.
+tsne_module = importlib.import_module("netclass.tsne")
 
 # Deterministic example generation and no example database on disk, so a
 # run leaves no files and every run checks the same examples.
@@ -326,24 +331,30 @@ def tsne_runs(draw):
     perplexity = draw(st.floats(1.0, (n - 1) / 3.0, exclude_max=True))
     iterations = draw(st.integers(1, 330))
     learning_rate = draw(st.floats(10.0, 1000.0))
-    return x, perplexity, iterations, learning_rate, draw(st.integers(0, 2**32))
+    rows = draw(st.sampled_from([1, 7, tsne_module.ROWS]))
+    return x, perplexity, iterations, learning_rate, draw(st.integers(0, 2**32)), rows
 
 
 # Iteration counts below, at and above the end of early exaggeration (250),
-# off the 50-step trace grid, and learning rates that overflow float64.
+# off the 50-step trace grid, learning rates that overflow float64, and 150
+# rows, which the module's own block count splits unevenly.
 @PROPERTY
 @given(tsne_runs())
-@example((np.arange(24.0).reshape(8, 3), 2.0, 137, 200.0, 1))
-@example((np.arange(24.0).reshape(8, 3), 2.0, 250, 200.0, 2))
-@example((np.arange(30.0).reshape(10, 3) ** 0.5, 2.5, 263, 800.0, 3))
-@example((np.arange(24.0).reshape(8, 3), 2.0, 60, 1e300, 4))
-@example((np.arange(24.0).reshape(8, 3), 2.0, 60, float("inf"), 5))
+@example((np.arange(24.0).reshape(8, 3), 2.0, 137, 200.0, 1, 7))
+@example((np.arange(24.0).reshape(8, 3), 2.0, 250, 200.0, 2, 1))
+@example((np.arange(30.0).reshape(10, 3) ** 0.5, 2.5, 263, 800.0, 3, 7))
+@example((np.arange(24.0).reshape(8, 3), 2.0, 60, 1e300, 4, 7))
+@example((np.arange(24.0).reshape(8, 3), 2.0, 60, float("inf"), 5, 7))
+@example((np.random.default_rng(6).normal(size=(150, 3)), 20.0, 300, 200.0, 6,
+          tsne_module.ROWS))
 def test_tsne_matches_reference_loop_byte_for_byte(run):
-    x, perplexity, iterations, learning_rate, seed = run
+    x, perplexity, iterations, learning_rate, seed, rows = run
     p = joint_affinities(_pairwise_sq_dists(x), perplexity)
 
     def package():
-        emb = tsne(x, perplexity, iterations, learning_rate, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tsne_module, "ROWS", rows)
+            emb = tsne(x, perplexity, iterations, learning_rate, seed)
         return emb.points, emb.kl, emb.kl_trace
 
     got = _exact(package)
