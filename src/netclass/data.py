@@ -1,9 +1,8 @@
-"""Labeled design matrices and the log/z-score preprocessing they share.
+"""Labeled design matrices and the log/z-score preprocessing of t-SNE and k-means.
 
-Count-like feature columns are compressed with log10(1+x) before z-scoring;
-constant columns standardize to zero so no consumer ever sees NaN.  The
-fitted parameters travel with trained models so that prediction-time inputs
-are transformed identically.
+Count-like feature columns are compressed with log10(1+x) (apply_log, which
+the forest also uses) before z-scoring; constant columns standardize to zero
+so no consumer ever sees NaN.
 """
 
 from __future__ import annotations
@@ -96,26 +95,36 @@ def fit_standardize(
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("need a non-empty 2-D matrix")
-    if not np.isfinite(x).all():
-        raise ValueError("matrix contains non-finite values")
     d = x.shape[1]
     if log_flags is None:
         log_flags = (False,) * d
     if len(log_flags) != d:
         raise ValueError("log_flags length does not match column count")
-    x = _apply_log(x, log_flags)
-    means = x.mean(axis=0)
-    stds = x.std(axis=0)
+    x = apply_log(x, log_flags)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite values near the float limit
+        means, stds = x.mean(axis=0), x.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(means + stds))
+    if bad.size:
+        raise ValueError(f"cannot standardize {_column(bad[0], d)}: its mean or std overflows")
     return StandardizeParams(tuple(log_flags), tuple(means), tuple(stds))
 
 
-def _apply_log(x: np.ndarray, log_flags: tuple[bool, ...]) -> np.ndarray:
-    x = x.copy()
+def _column(j: int, d: int) -> str:
+    """Column j of d, with its feature name in the canonical layout."""
+    return f"column {j} ({FEATURE_NAMES[j]})" if d == len(FEATURE_NAMES) else f"column {j}"
+
+
+def apply_log(x: np.ndarray, log_flags: tuple[bool, ...]) -> np.ndarray:
+    """A copy of the finite matrix x with log10(1+v) in each column whose flag
+    is set; those columns must hold no negative value."""
+    x = np.array(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("matrix contains non-finite values")
     for j, flag in enumerate(log_flags):
         if flag:
             col = x[:, j]
             if (col < 0).any():
-                raise ValueError(f"negative value in count-like column {j}")
+                raise ValueError(f"negative value in count-like {_column(j, x.shape[1])}")
             x[:, j] = np.log10(1.0 + col)
     return x
 
@@ -127,9 +136,7 @@ def apply_standardize(params: StandardizeParams, matrix: np.ndarray) -> np.ndarr
         raise ValueError(
             f"need a 2-D matrix of {len(params.means)} columns, got shape {x.shape}"
         )
-    if not np.isfinite(x).all():
-        raise ValueError("matrix contains non-finite values")
-    x = _apply_log(x, params.log_flags)
+    x = apply_log(x, params.log_flags)
     means = np.array(params.means)
     stds = np.array(params.stds)
     safe = np.where(stds > 0.0, stds, 1.0)

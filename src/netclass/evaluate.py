@@ -1,10 +1,9 @@
 """Stratified cross-validation, confusion matrices, and cluster overlap.
 
-Standardization never leaks across folds: each fold trains its own forest,
-and forest training fits its transform on the training rows alone.  The
-fitted per-fold parameters are kept on the result so the isolation can be
-checked from outside.  cross_validate counts the confusion matrix of its
-pooled predictions; a ConfusionMatrix holds only the counts and label names.
+Each fold trains its own forest on the other folds' rows, and a forest fits
+nothing but its trees, so no held-out row reaches the forest that predicts
+it.  cross_validate counts the confusion matrix of its pooled predictions; a
+ConfusionMatrix holds only the counts and label names.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, StandardizeParams
+from .data import Dataset
 from .features import csv_text
 from .forest import ForestParams, forest_predict, forest_train
 from .seeding import derive_seed, make_rng
@@ -62,7 +61,6 @@ class CVResult:
     predictions: np.ndarray
     votes: np.ndarray
     confusion: ConfusionMatrix
-    fold_standardize: tuple[StandardizeParams, ...]
 
     @property
     def accuracy(self) -> float:
@@ -82,19 +80,17 @@ def cross_validate(
     n = dataset.n_rows
     predictions = np.full(n, -1, dtype=np.int64)
     votes = np.zeros((n, dataset.n_classes), dtype=np.int64)
-    fold_params = []
     for f in range(k):
         train_idx = np.nonzero(folds != f)[0]
         if not len(train_idx):
             raise ValueError(f"fold {f} leaves no training rows")
         forest = forest_train(dataset.subset(train_idx), params, derive_seed(seed, 1 + f))
-        fold_params.append(forest.standardize)
         rows = np.nonzero(folds == f)[0]
         predictions[rows], votes[rows] = forest_predict(forest, dataset.matrix[rows])
     counts = np.zeros((dataset.n_classes, dataset.n_classes), dtype=np.int64)
     np.add.at(counts, (dataset.labels, predictions), 1)
     confusion = ConfusionMatrix(counts, dataset.label_names)
-    return CVResult(folds, predictions, votes, confusion, tuple(fold_params))
+    return CVResult(folds, predictions, votes, confusion)
 
 
 @dataclass(frozen=True)

@@ -345,17 +345,21 @@ def write_features_csv(
 def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:
     """Read a feature CSV back into (names, categories, matrix).
 
-    The header must match the canonical layout exactly, and every feature
-    cell must hold a finite number; an error names the row and the column.
+    The header must match the canonical layout exactly, no name may repeat,
+    and every feature cell must hold a finite number; an error names the row
+    and the column.
     """
     records = csv_records(src.read(), "feature CSV")
     _, header = next(records)
     if header != CSV_HEADER.split(","):
         raise ValueError(f"bad feature CSV header; expected {CSV_HEADER!r}")
-    names, categories, rows = [], [], []
-    for _, row in records:
+    names, categories, rows, seen = [], [], [], set()
+    for lineno, row in records:
         if len(row) != len(FEATURE_NAMES) + 2:
             raise ValueError(f"feature CSV row for {row[0]!r} has wrong arity")
+        if row[0] in seen:
+            raise ValueError(f"feature CSV line {lineno}: duplicate name {row[0]!r}")
+        seen.add(row[0])
         names.append(row[0])
         categories.append(row[1])
         values = []

@@ -1,5 +1,9 @@
 """CART decision trees and a bagged random forest, trained without sklearn.
 
+A split depends only on the order of a column's values, so a forest fits
+nothing but its trees: it only takes log10(1+x) of the columns that
+ForestParams.log_flags names (data.apply_log).
+
 Determinism contract: tree t of a forest draws its bootstrap sample from
 derive_seed(master, 2t) and its split-candidate subsets from
 derive_seed(master, 2t+1), so any scheduling of tree construction yields the
@@ -22,15 +26,15 @@ on it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, StandardizeParams, apply_standardize, fit_standardize
+from .data import Dataset, apply_log
 from .seeding import derive_seed, make_rng
 
 MODEL_FORMAT = "netclass-forest"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 # Rows scored in one segmented pass.  A round's nodes go in chunks of at
 # most this many rows (a larger node is a chunk of its own), which bounds
@@ -46,9 +50,8 @@ class ModelFormatError(ValueError):
 class ForestParams:
     """Training hyperparameters.
 
-    features_per_split=None means round(sqrt(n_features)).  log_flags is the
-    per-column log-transform layout handed to standardization (None = plain
-    z-score), which checks its length.
+    features_per_split=None means round(sqrt(n_features)).  log_flags names
+    the columns that go through log10(1+x) before any split (None = none).
     """
 
     trees: int = 100
@@ -61,6 +64,8 @@ class ForestParams:
             raise ValueError("need at least one tree")
         if self.min_split < 2:
             raise ValueError("min_split must be at least 2")
+        if self.log_flags is not None and len(self.log_flags) != n_features:
+            raise ValueError("log_flags length does not match column count")
         fps = self.resolved_features_per_split(n_features)
         if not 1 <= fps <= n_features:
             raise ValueError(
@@ -104,7 +109,6 @@ class DecisionTree:
 class Forest:
     trees: tuple[DecisionTree, ...]
     params: ForestParams
-    standardize: StandardizeParams
     label_names: tuple[str, ...]
 
 
@@ -289,13 +293,13 @@ def _split_nodes(columns, ranks, y, nodes, feats) -> None:
 
 
 def forest_train(dataset: Dataset, params: ForestParams, master_seed: int) -> Forest:
-    """Train a bagged forest; standardization is fitted on this data only."""
+    """Train a bagged forest; its params spell out log_flags (None: all False)."""
     if dataset.n_rows < 1:
         raise ValueError("cannot train on an empty dataset")
     n_features = dataset.matrix.shape[1]
     params.validate(n_features)
-    std_params = fit_standardize(dataset.matrix, params.log_flags)
-    xs = apply_standardize(std_params, dataset.matrix)
+    params = replace(params, log_flags=params.log_flags or (False,) * n_features)
+    xs = apply_log(dataset.matrix, params.log_flags)
     n = dataset.n_rows
     samples = [make_rng(derive_seed(master_seed, 2 * t)).integers(0, n, size=n)
                for t in range(params.trees)]
@@ -303,21 +307,21 @@ def forest_train(dataset: Dataset, params: ForestParams, master_seed: int) -> Fo
     trees = _grow_trees(xs, dataset.labels, samples,
                         params.resolved_features_per_split(n_features),
                         params.min_split, seeds, dataset.n_classes)
-    return Forest(tuple(trees), params, std_params, dataset.label_names)
+    return Forest(tuple(trees), params, dataset.label_names)
 
 
 def forest_predict(forest: Forest, x: np.ndarray):
-    """Majority vote over trees on raw (unstandardized) feature vectors.
+    """Majority vote over trees on raw (untransformed) feature vectors.
 
     One vector gives (label index, per-class vote counts); a matrix gives
     (labels, votes) arrays with one row per input row.  Vote ties go to the
     lowest class index.
     """
     x = np.asarray(x, dtype=np.float64)
-    n_features = len(forest.standardize.means)
+    n_features = len(forest.params.log_flags)
     if x.ndim not in (1, 2) or x.shape[-1] != n_features:
         raise ValueError(f"expected rows of {n_features} features")
-    xs = apply_standardize(forest.standardize, np.atleast_2d(x))
+    xs = apply_log(np.atleast_2d(x), forest.params.log_flags)
     votes = np.zeros((len(xs), len(forest.label_names)), dtype=np.int64)
     rows = np.arange(len(xs))
     for tree in forest.trees:
@@ -338,11 +342,7 @@ def forest_to_json(forest: Forest) -> str:
             "trees": forest.params.trees,
             "features_per_split": forest.params.features_per_split,
             "min_split": forest.params.min_split,
-        },
-        "standardize": {
-            "log_flags": list(forest.standardize.log_flags),
-            "means": list(forest.standardize.means),
-            "stds": list(forest.standardize.stds),
+            "log_flags": list(forest.params.log_flags),
         },
         "trees": [
             {name: getattr(t, name).tolist() for name in TREE_ARRAYS}
@@ -405,13 +405,6 @@ def forest_from_json(text: str) -> Forest:
             f"(this netclass reads version {MODEL_VERSION}); retrain the model"
         )
     try:
-        std = payload["standardize"]
-        numbers = "standardize means and stds must be lists of numbers"
-        standardize = StandardizeParams(
-            _json_list(std["log_flags"], bool, "standardize log_flags must be a list of booleans"),
-            tuple(map(float, _json_list(std["means"], (int, float), numbers))),
-            tuple(map(float, _json_list(std["stds"], (int, float), numbers))),
-        )
         raw_params = payload["params"]
         fps = raw_params["features_per_split"]
         _json_list(
@@ -423,20 +416,15 @@ def forest_from_json(text: str) -> Forest:
             trees=raw_params["trees"],
             features_per_split=fps,
             min_split=raw_params["min_split"],
-            log_flags=standardize.log_flags,
+            log_flags=_json_list(raw_params["log_flags"], bool,
+                                 "params log_flags must be a list of booleans"),
         )
         label_names = _json_list(
             payload["label_names"], str, "label_names must be a list of strings"
         )
-        n_features = len(standardize.means)
-        if not label_names or n_features < 1 or not (
-            len(standardize.log_flags) == n_features == len(standardize.stds)
-        ):
-            raise ModelFormatError("model needs labels and equal-length standardize lists")
-        if not np.isfinite(standardize.means + standardize.stds).all():
-            raise ModelFormatError("standardize means and stds must be finite")
-        if min(standardize.stds) < 0:
-            raise ModelFormatError("standardize stds must be at least 0")
+        if not label_names or "" in label_names or len(set(label_names)) < len(label_names):
+            raise ModelFormatError("label_names must be distinct, non-empty strings")
+        n_features = len(params.log_flags)
         trees = tuple(
             _tree_from_dict(t, n_features, len(label_names)) for t in payload["trees"]
         )
@@ -451,4 +439,4 @@ def forest_from_json(text: str) -> Forest:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
-    return Forest(trees, params, standardize, label_names)
+    return Forest(trees, params, label_names)

@@ -29,9 +29,9 @@ from netclass import (
     tsne,
 )
 from netclass.cli import main
-from netclass.data import fit_standardize
 from netclass.features import FeatureVector
 from netclass.graph import _build_graph
+from netclass.seeding import derive_seed
 from netclass.synth import barabasi_albert, erdos_renyi
 from netclass.tsne import _pairwise_sq_dists, joint_affinities, kl_divergence, kl_gradient
 
@@ -195,16 +195,17 @@ def test_ac3_substitute_property_suite():
         accs.append(cross_validate(noise_ds, ForestParams(trees=21), 5, trial).accuracy)
     chance_gap = abs(float(np.mean(accs)) - 0.25)
 
-    # (c) per-fold standardization is fit on that fold's training rows only
+    # (c) each fold is predicted by a forest trained on the other folds alone
     sub = corpus_dataset(1).subset(list(range(0, 125, 5)))
-    flags = feature_log_flags()
-    cv = cross_validate(sub, ForestParams(trees=9, log_flags=flags), 5, 3)
-    full = fit_standardize(sub.matrix, flags)
+    params = ForestParams(trees=9, log_flags=feature_log_flags())
+    cv = cross_validate(sub, params, 5, 3)
     leak_free = True
-    for f, got in enumerate(cv.fold_standardize):
-        want = fit_standardize(sub.matrix[cv.folds != f], flags)
-        leak_free &= got.means == want.means and got.stds == want.stds
-        leak_free &= got.means != full.means
+    for f in range(5):
+        held = cv.folds == f
+        fold_forest = forest_train(sub.subset(np.nonzero(~held)[0]), params, derive_seed(3, 1 + f))
+        labels, votes = forest_predict(fold_forest, sub.matrix[held])
+        leak_free &= np.array_equal(cv.predictions[held], labels)
+        leak_free &= np.array_equal(cv.votes[held], votes)
 
     ok = resub_corpus == 1.0 and resub_random == 1.0 and chance_gap <= 0.1 and leak_free
     _report(

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,9 @@ BAD_SETTINGS = [
     # A feature cell that is not a number at all, named by its row and column.
     *[(command, [], f"abc_{command}.csv: feature CSV row for 'g': nodes is 'abc', not a number")
       for command in TABLE_COMMANDS],
+    # Every output names its rows, so a name may appear only once.
+    *[(command, [], f"dup_{command}.csv: feature CSV line 4: duplicate name 'g'")
+      for command in TABLE_COMMANDS],
 ]
 
 
@@ -198,6 +202,10 @@ BAD_INPUT_FILES = [
     ("three_categories.csv",
      "\n".join([CSV_HEADER] + [feature_line(name, name) for name in "abc"]) + "\n"),
     *[(f"abc_{command}.csv", f"{CSV_HEADER}\n{feature_line('g', 'BA', nodes='abc')}\n")
+      for command in TABLE_COMMANDS],
+    *[(f"dup_{command}.csv", "\n".join(
+        [CSV_HEADER] + [feature_line(name, category) for name, category in
+                        [("g", "BA"), ("h", "ER"), ("g", "ER")]]) + "\n")
       for command in TABLE_COMMANDS],
 ]
 BAD_INPUTS = {
@@ -574,7 +582,7 @@ class TestTrainPredict:
     def test_model_document(self, corpus, capsys):
         doc = json.loads(read(corpus["model"]))
         assert doc["format"] == "netclass-forest"
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["label_names"] == ["BA", "ER"]
         assert len(doc["trees"]) == 9
 
@@ -638,12 +646,10 @@ class TestTrainPredict:
                 edited(["trees", 0, "left", 0], 0), "child index"),
             "no trees": (edited(["trees"], []), "no trees"),
             "version 1": (edited(["version"], 1), "retrain"),
+            "version 2": (edited(["version"], 2), "retrain"),
             "nested 5000 deep": (
                 '{"format":"netclass-forest","version":2,"trees":'
                 + "[" * 5000 + "]" * 5000 + "}", "not valid JSON"),
-            "NaN mean": (edited(["standardize", "means", 0], float("nan")), "finite"),
-            "infinite std": (edited(["standardize", "stds", 1], float("inf")), "finite"),
-            "std of -3": (edited(["standardize", "stds", 0], -3.0), "at least 0"),
             "NaN threshold": (edited(["trees", 0, "threshold", 0], float("nan")), "finite"),
             "count of -1": (edited(["trees", 0, "counts", leaf, 0], -1), "at least 0"),
             "fractional feature index": (
@@ -661,13 +667,15 @@ class TestTrainPredict:
             "label_names numbers": (
                 edited(["label_names"], list(range(len(good["label_names"])))),
                 "list of strings"),
+            "label_names repeated": (
+                edited(["label_names"], ["BA", "BA"]), "distinct, non-empty"),
+            "label_names empty": (edited(["label_names"], ["", "ER"]), "distinct, non-empty"),
             "log_flags strings": (
-                edited(["standardize", "log_flags"],
-                       ["no"] * len(good["standardize"]["log_flags"])),
+                edited(["params", "log_flags"], ["no"] * len(FEATURE_NAMES)),
                 "list of booleans"),
-            "means numeric strings": (
-                edited(["standardize", "means"], [str(v) for v in good["standardize"]["means"]]),
-                "lists of numbers"),
+            "log_flags one too many": (
+                edited(["params", "log_flags"], good["params"]["log_flags"] + [False]),
+                "expected rows of 16 features"),
             "params trees a string": (edited(["params", "trees"], "7"), "must be integers"),
             "params trees one more than stored": (
                 edited(["params", "trees"], len(good["trees"]) + 1),
@@ -775,3 +783,36 @@ class TestEmbedCluster:
         assert code == 1
         assert "no labeled rows" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+
+class TestValuesNearTheFloatLimit:
+    """A finite table whose avg_degree holds 1e308 and 1.7e308: their mean
+    and std overflow, and the midpoint between them too."""
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        rows = [feature_line(f"g{i}", "BA" if i % 2 else "ER",
+                             avg_degree="1e308" if i % 2 else "1.7e308") for i in range(6)]
+        path.write_text("\n".join([CSV_HEADER] + rows) + "\n", encoding="utf-8")
+        return path
+
+    def test_train_and_evaluate_succeed(self, table, tmp_path, capsys):
+        assert main(["train", str(table), "--model-out", str(tmp_path / "m.json"),
+                     "--trees", "5"]) == 0
+        assert "training accuracy 1.000000" in capsys.readouterr().out
+        assert main(["evaluate", str(table), "--out-dir", str(tmp_path / "reports"),
+                     "--trees", "5", "--folds", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["embed", "cluster"])
+    def test_standardizing_names_the_file_and_column(self, table, tmp_path, capsys, command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, str(table), "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {table}: cannot standardize column 5 (avg_degree): "
+                       "its mean or std overflows"]
+        assert not (tmp_path / "out.csv").exists()

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from netclass import Dataset, ForestParams, cross_validate
-from netclass.data import fit_standardize
+from netclass import Dataset, ForestParams, cross_validate, forest_predict, forest_train
 from netclass.evaluate import (
     ConfusionMatrix,
     CVResult,
@@ -93,15 +92,16 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="fold 0 leaves no training rows"):
             cross_validate(ds, ForestParams(trees=2), k=3, seed=0)
 
-    def test_fold_standardization_fits_train_rows_only(self):
+    def test_each_fold_is_predicted_by_a_forest_of_the_other_folds(self):
         ds = separable_dataset(seed=8)
-        result = cross_validate(ds, ForestParams(trees=3), k=2, seed=2)
-        full = fit_standardize(ds.matrix)
-        for f, params in enumerate(result.fold_standardize):
-            expected = fit_standardize(ds.matrix[result.folds != f])
-            assert params.means == expected.means
-            assert params.stds == expected.stds
-            assert params.means != full.means
+        params = ForestParams(trees=3)
+        result = cross_validate(ds, params, k=2, seed=2)
+        for f in range(2):
+            held = result.folds == f
+            forest = forest_train(ds.subset(np.nonzero(~held)[0]), params, derive_seed(2, 1 + f))
+            labels, votes = forest_predict(forest, ds.matrix[held])
+            assert np.array_equal(result.predictions[held], labels)
+            assert np.array_equal(result.votes[held], votes)
 
     def test_seed_schedule_reproducible(self):
         ds = separable_dataset(seed=6)
@@ -224,7 +224,6 @@ class TestMisclassCsv:
             predictions=np.array([0, 0]),
             votes=np.array([[100, 0], [60, 40]]),
             confusion=cm,
-            fold_standardize=(),
         )
         text = misclass_to_csv(ds, result)
         assert text == (

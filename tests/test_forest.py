@@ -9,12 +9,7 @@ import pytest
 from test_golden import multiclass_csv
 
 from netclass import Dataset, ForestParams, forest_predict, forest_train
-from netclass.data import (
-    StandardizeParams,
-    apply_standardize,
-    feature_log_flags,
-    fit_standardize,
-)
+from netclass.data import apply_log, feature_log_flags
 from netclass.features import read_features_csv
 from netclass.forest import (
     TREE_ARRAYS,
@@ -132,8 +127,8 @@ class TestTrainTree:
         assert tree.threshold[0] == low
         assert tree.counts.tolist() == [[2, 2], [2, 0], [0, 2]]
         assert tree.predict(x).tolist() == [0, 1, 0, 1]
-        standardize = StandardizeParams((False,), (0.0,), (1.0,))
-        text = forest_to_json(Forest((tree,), ForestParams(trees=1), standardize, ("a", "b")))
+        params = ForestParams(trees=1, log_flags=(False,))
+        text = forest_to_json(Forest((tree,), params, ("a", "b")))
         assert arrays(forest_from_json(text).trees[0]) == arrays(tree)
 
     def test_deterministic_per_seed(self):
@@ -174,10 +169,9 @@ class TestForest:
         ds = unique_dataset(n_rows=12, seed=4)
         forest = forest_train(ds, ForestParams(trees=3), master_seed=11)
         # tree 1 bootstraps from derive_seed(11, 2) and splits with (11, 3)
-        xs = apply_standardize(forest.standardize, ds.matrix)
         idx = make_rng(derive_seed(11, 2)).integers(0, 12, size=12)
         fps = ForestParams().resolved_features_per_split(8)
-        tree = train_tree(xs[idx], ds.labels[idx], fps, 2, derive_seed(11, 3),
+        tree = train_tree(ds.matrix[idx], ds.labels[idx], fps, 2, derive_seed(11, 3),
                           n_classes=ds.n_classes)
         assert arrays(tree) == arrays(forest.trees[1])
         assert arrays(tree) != arrays(forest.trees[0])
@@ -213,10 +207,9 @@ class TestForest:
         ds = unique_dataset()
         forest = forest_train(ds, ForestParams(trees=7), 4)
         labels, votes = forest_predict(forest, ds.matrix)
-        xs = apply_standardize(forest.standardize, ds.matrix)
         want = np.zeros_like(votes)
         for tree in forest.trees:
-            for i, row in enumerate(xs):
+            for i, row in enumerate(ds.matrix):
                 want[i, np.argmax(tree.counts[walk(tree, row)])] += 1
         assert np.array_equal(votes, want)
         rows = [forest_predict(forest, row) for row in ds.matrix]
@@ -248,7 +241,7 @@ class TestForest:
         with pytest.raises(ValueError):
             forest_train(ds, ForestParams(features_per_split=99), 0)
 
-    def test_log_flags_standardization_internal(self):
+    def test_log_flags_take_the_log_of_their_columns_only(self):
         rng = np.random.default_rng(6)
         matrix = np.abs(rng.normal(50.0, 20.0, size=(20, 2)))
         labels = (matrix[:, 0] > 50).astype(int)
@@ -257,11 +250,17 @@ class TestForest:
             ["lo" if l == 0 else "hi" for l in labels],
             matrix,
         )
-        params = ForestParams(trees=10, log_flags=(True, True))
-        forest = forest_train(ds, params, 0)
-        assert forest.standardize.log_flags == (True, True)
-        label, _ = forest_predict(forest, matrix[0])
-        assert label in (0, 1)
+        forest = forest_train(ds, ForestParams(trees=10, log_flags=(True, False)), 0)
+        assert forest.params.log_flags == (True, False)
+        # The trees are those grown on log10(1+x) of column 0 and column 1 as is.
+        plain = forest_train(Dataset(ds.names, ds.labels, ds.label_names,
+                                     apply_log(matrix, (True, False))), ForestParams(trees=10), 0)
+        assert [arrays(t) for t in forest.trees] == [arrays(t) for t in plain.trees]
+        assert plain.params.log_flags == (False, False)
+        assert np.array_equal(forest_predict(forest, matrix)[1],
+                              forest_predict(plain, apply_log(matrix, (True, False)))[1])
+        with pytest.raises(ValueError, match="log_flags length"):
+            forest_train(ds, ForestParams(log_flags=(True,)), 0)
 
 
 class TestModelSerialization:
@@ -281,11 +280,11 @@ class TestModelSerialization:
         ds = unique_dataset(n_rows=10)
         payload = json.loads(forest_to_json(forest_train(ds, ForestParams(trees=2), 0)))
         assert payload["format"] == "netclass-forest"
-        assert payload["version"] == 2
+        assert payload["version"] == 3
+        assert sorted(payload) == ["format", "label_names", "params", "trees", "version"]
         assert len(payload["trees"]) == 2
         assert payload["label_names"] == list(ds.label_names)
-        assert "tree_seeds" not in payload
-        assert "log_flags" not in payload["params"]
+        assert payload["params"]["log_flags"] == [False] * 8
         for tree in payload["trees"]:
             assert sorted(tree) == sorted(TREE_ARRAYS)
             assert len(tree["counts"]) == len(tree["feature"])
@@ -298,7 +297,7 @@ class TestModelSerialization:
         tree = train_tree(x, y, 1, 2, seed=0)
         assert len(tree.feature) == 2999
         assert tree.predict(x).tolist() == y.tolist()
-        forest = Forest((tree,), ForestParams(trees=1), fit_standardize(x), ("a", "b"))
+        forest = Forest((tree,), ForestParams(trees=1, log_flags=(False,)), ("a", "b"))
         text = forest_to_json(forest)
         again = forest_from_json(text)
         assert arrays(again.trees[0]) == arrays(tree)
@@ -309,7 +308,7 @@ class TestModelSerialization:
             forest_from_json('{"format": "something-else", "version": 1}')
 
     def test_wrong_version_rejected(self):
-        for version in (99, 1):
+        for version in (99, 1, 2):
             with pytest.raises(ModelFormatError, match="version.*retrain"):
                 forest_from_json(f'{{"format": "netclass-forest", "version": {version}}}')
 
@@ -321,4 +320,4 @@ class TestModelSerialization:
 
     def test_missing_key_rejected(self):
         with pytest.raises(ModelFormatError, match="malformed"):
-            forest_from_json('{"format": "netclass-forest", "version": 2}')
+            forest_from_json('{"format": "netclass-forest", "version": 3}')

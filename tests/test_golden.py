@@ -30,7 +30,7 @@ GOLDEN = {
     "manifest.csv": "73fe63623a20605f100f183ce96e2e107c56e9ab5374675224be9db3fd50bb5e",
     "graphs/*.edges": "e43ea025158a774a5506b18ba5bd9c0129fc06512b50282a8f87a3be251d006c",
     "features.csv": "7baf8390204af84e49b5f8fc3c8d93e5659fcf24389c6299c31f5357a7f48864",
-    "model.json": "b3692d21e43dae7555a32129a167ff7de493857d1d1e38bda39bf6f0653c94b2",
+    "model.json": "7bff531c4ae7a134123d97e7556a221f1dd0b4fae21c965264db11ecaea03d8d",
     "pred.csv": "bc5f357f6c476b8cd93891fa610e0ca435218a07e52a95605adf1b144480211e",
     "reports/confusion.csv": "122cca701d09786d9216d68230b6f1f2d70e0363fd6fd0540c16bf7818c068c1",
     "reports/confusion.txt": "d7f9bfdd9d051b3dbf8d44028d03d2dd6cf1ab3a579c34648d1775d25e68e78a",
@@ -46,7 +46,7 @@ STOCK_GOLDEN = {
     "manifest.csv": "7d3963a14a391628c970b9c18e3f1ef991a1534d4ddb506fb0016534ff1e9e03",
     "graphs/*.edges": "93a5284a33dc06f7c62ffb2d72dfbd021431217c94920ea7579fece0263ab518",
     "features.csv": "1a61aed90ceb047db8f6059fc958404c51958fa9439a0af1206b7faffc4f0ff0",
-    "model.json": "bab07fba26cefefb94e57762fd9bb2c4ab084e886892909afbbb0f5e543232ad",
+    "model.json": "e3e243d7b4ef208785a67491626e4ab0769c435b500df8b15766b85a00b0d7cb",
     "pred.csv": "3bc2e35e551bbf87cab26926e11b398ba984470b619aafbc50b387cf9f81a196",
     "reports/confusion.csv": "def18a0cdbf48ccfc5051605298c0a68d26a28ddd822924b49f596220f580db1",
     "reports/confusion.txt": "0974612911ab91d6789b907526be39ebfc9548895090b5bbda90de8b2dde2195",
@@ -106,10 +106,10 @@ def test_scale_shaped_barabasi_albert_matches_golden_digest():
 
 # The 500-row, 4-class table of multiclass_csv(), seed 7.
 MULTICLASS_GOLDEN = {
-    "model.json": "aeb6c006f3d9e4081cb7f7ccde87aa6a3323b37a91fc70d3e0cfbf12a21b717b",
+    "model.json": "3f7dc4cc15fa3cc6686849d1f2125c476f71558c94bee6eb16e1b2f255b6338d",
     "reports/confusion.csv": "94f6579e685175b608b46e1c89f379cf619de5493701d7887848f6ba84b34b74",
     "reports/confusion.txt": "119a30eb2cbe1d6cadbc43bf6ba2a2d0b17f2d17c806ad36bd194418084c4d2e",
-    "reports/misclassified.csv": "06567a0c5dccc0e0bfba5cb180c1d39d0a8a0ae3a3741a9c29448e433d543e1b",
+    "reports/misclassified.csv": "0616ec86a1d0f97bc2a7a7bbd782dcb372bc7fcdb8a926ab75bd4269e98eb7e2",
     "embed.csv": "18e4047d5915dfb1de9dc8f187a0528776f6d36553e17e7af9b50bad3556326b",
 }
 

@@ -7,7 +7,8 @@ the peel order is exercised on almost every example.  They are built
 through Matrix Market text, which keeps isolated nodes.  Tree tables are
 drawn from a few values per column, so equal values, equal gains and cuts
 that do not exist are common; trees grown together, in chunks of a few
-rows, are compared with the reference one tree at a time.  Matrix Market
+rows, are compared with the reference one tree at a time; a forest's
+thresholds on a linear column scale with it by powers of two.  Matrix Market
 texts use every line end that str.splitlines knows and are compared with a
 copy of the earlier reader.
 Fold arrays are compared with the earlier list-of-folds deal.
@@ -29,7 +30,13 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from netclass import extract_features, parse_edge_list  # noqa: E402
+from netclass import (  # noqa: E402
+    Dataset,
+    ForestParams,
+    extract_features,
+    forest_train,
+    parse_edge_list,
+)
 from netclass.evaluate import stratified_kfold  # noqa: E402
 from netclass.features import (  # noqa: E402
     FEATURE_NAMES,
@@ -211,6 +218,40 @@ def test_trees_grown_together_match_reference_one_by_one(table):
         for name, want in zip(TREE_ARRAYS, expected):
             got = getattr(tree, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@st.composite
+def scaled_columns(draw):
+    """A tree table as a dataset whose other columns may be log columns (their
+    values made non-negative), forest params, and a linear column j to scale
+    by 2**k."""
+    x, y, features_per_split, min_split, seed, _ = draw(tree_tables())
+    j = draw(st.integers(0, x.shape[1] - 1))
+    flags = tuple(draw(st.booleans()) and c != j for c in range(x.shape[1]))
+    x[:, list(flags)] = np.abs(x[:, list(flags)])
+    ds = Dataset.from_feature_table([f"r{i}" for i in range(len(x))],
+                                    [f"c{c}" for c in y], x)
+    params = ForestParams(trees=draw(st.integers(1, 3)), features_per_split=features_per_split,
+                          min_split=min_split, log_flags=flags)
+    return ds, params, seed, j, draw(st.integers(-20, 20))
+
+
+@PROPERTY
+@given(scaled_columns())
+def test_thresholds_on_a_linear_column_scale_with_it(case):
+    """The forest fits no statistics, so it sees the column in raw units: the
+    same splits, with that column's thresholds times 2**k exactly."""
+    ds, params, seed, j, k = case
+    scaled = ds.matrix.copy()
+    scaled[:, j] *= 2.0**k
+    plain = forest_train(ds, params, seed)
+    other = forest_train(Dataset(ds.names, ds.labels, ds.label_names, scaled), params, seed)
+    for a, b in zip(plain.trees, other.trees):
+        for name in ("feature", "left", "right", "counts"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        on_j = a.feature == j
+        assert np.array_equal(b.threshold[on_j], a.threshold[on_j] * 2.0**k)
+        assert np.array_equal(b.threshold[~on_j], a.threshold[~on_j])
 
 
 @st.composite
