@@ -315,7 +315,14 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
-    forest = _parse_file(args.model, forest_from_json)
+    def read_model(text):  # checked before any graph is read
+        forest = forest_from_json(text)
+        if len(forest.params.log_flags) != len(FEATURE_NAMES):
+            raise ValueError(f"the model takes {len(forest.params.log_flags)} features, "
+                             f"but a graph gives {len(FEATURE_NAMES)}")
+        return forest
+
+    forest = _parse_file(args.model, read_model)
     done, failures = _extract_all(args.graphs)
     matrix = np.array([fv.as_array() for fv in done.values()])
     labels, votes = forest_predict(forest, matrix.reshape(len(done), len(FEATURE_NAMES)))

@@ -4,6 +4,10 @@ All extractors are pure functions of an immutable Graph and are bit-for-bit
 deterministic: every ordering heuristic (peeling, clique growth, coloring)
 breaks ties by ascending node id.  Degenerate cases never produce NaN or
 infinity, so downstream learners always see finite vectors.
+
+The graph is oriented once, along the peel order of its core decomposition;
+the triangle count, the clique bound and the colouring all walk that one
+orientation.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ class CoreDecomposition:
     that order is held in compressed rows over peel positions:
     later[later_ptr[i]:later_ptr[i + 1]] are the positions j > i of the
     neighbors of peel_order[i], ascending, and later_keys holds each such
-    pair (i, j) once as i * n + j, sorted.
+    pair (i, j) once as i * n + j, sorted.  Row i has at most
+    core_numbers[peel_order[i]] entries.  triangle_counts,
+    clique_lower_bound and greedy_chromatic all read these rows.
     """
 
     core_numbers: np.ndarray
@@ -73,23 +79,6 @@ class CoreDecomposition:
         return int(self.core_numbers.max(initial=0))
 
 
-def _oriented(g: Graph, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each edge once, from its end of lower to its end of higher `pos` (a
-    permutation): sorted keys lo * n + hi over positions, and their rows
-    (row pointers, targets)."""
-    n = g.node_count
-    u, v = g.edge_arrays()
-    pu, pv = pos[u], pos[v]
-    keys = np.sort(np.minimum(pu, pv) * n + np.maximum(pu, pv))
-    return (keys, *_compress(keys, n))
-
-
-def _positions(order: np.ndarray) -> np.ndarray:
-    pos = np.empty(len(order), dtype=np.int64)
-    pos[order] = np.arange(len(order))
-    return pos
-
-
 def _has_keys(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Which queries occur in the sorted, non-empty array keys."""
     return keys[np.minimum(np.searchsorted(keys, queries), len(keys) - 1)] == queries
@@ -98,18 +87,20 @@ def _has_keys(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 _WEDGE_CHUNK = 1 << 18  # wedges tested per numpy batch in triangle_counts
 
 
-def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
+def triangle_counts(g: Graph, decomp: CoreDecomposition | None = None) -> tuple[np.ndarray, int]:
     """Per-node triangle participation counts and the total triangle count.
 
-    Orients every edge from its lower- to its higher-ranked end (rank =
-    (degree, id)), so each triangle is the closed wedge at exactly one
-    corner.  The wedges at a node are the pairs of its out-neighbors; they
-    are tested in batches against the sorted oriented edge keys.
+    Counts on the peel orientation of decomp, which is computed from g
+    when not given; the counts are the same either way.  Each triangle is
+    the closed wedge at its earliest-peeled corner: the wedges at a position
+    are the pairs of its later neighbors (at most its core number of them),
+    tested in batches against decomp.later_keys.
     """
     n = g.node_count
-    rank = _positions(np.argsort(g.degrees(), kind="stable"))
-    keys, ptr, dst = _oriented(g, rank)
-    m = len(dst)
+    if decomp is None:
+        decomp = core_decomposition(g)
+    keys, ptr, later = decomp.later_keys, decomp.later_ptr, decomp.later
+    m = len(later)
     # Entry e pairs with the entries after it in its row.
     partners = np.repeat(ptr[1:], np.diff(ptr)) - np.arange(m) - 1
     bounds = np.searchsorted(np.cumsum(partners), np.arange(0, partners.sum(), _WEDGE_CHUNK),
@@ -119,10 +110,12 @@ def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
         c = partners[lo:hi]
         first = np.repeat(np.arange(lo, hi), c)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
-        closed = _has_keys(keys, dst[first] * n + dst[second])
-        corners += [keys[first[closed]] // n, dst[first[closed]], dst[second[closed]]]
-    by_rank = np.bincount(np.concatenate(corners), minlength=n)
-    return by_rank[rank], int(by_rank.sum()) // 3
+        closed = _has_keys(keys, later[first] * n + later[second])
+        corners += [keys[first[closed]] // n, later[first[closed]], later[second[closed]]]
+    by_position = np.bincount(np.concatenate(corners), minlength=n)
+    counts = np.empty(n, dtype=np.int64)
+    counts[decomp.peel_order] = by_position
+    return counts, int(by_position.sum()) // 3
 
 
 def avg_local_clustering(g: Graph, counts: np.ndarray) -> float:
@@ -181,8 +174,11 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
             d -= 1  # every neighbor had degree >= d
     del buckets, deg  # the stale heap entries
     peel = np.array(order, dtype=np.int64)
-    keys, later_ptr, later = _oriented(g, _positions(peel))
-    return CoreDecomposition(np.array(core, dtype=np.int64), peel, keys, later_ptr, later)
+    pos = np.empty(n, dtype=np.int64)
+    pos[peel] = np.arange(n)
+    pu, pv = (pos[ends] for ends in g.edge_arrays())
+    keys = np.sort(np.minimum(pu, pv) * n + np.maximum(pu, pv))
+    return CoreDecomposition(np.array(core, dtype=np.int64), peel, keys, *_compress(keys, n))
 
 
 def assortativity(g: Graph) -> float:
@@ -271,8 +267,8 @@ def extract_features(g: Graph) -> FeatureVector:
         raise ValueError("cannot extract features from an empty graph")
     m = g.edge_count
     deg = g.degrees()
-    counts, total = triangle_counts(g)
     decomp = core_decomposition(g)
+    counts, total = triangle_counts(g, decomp)
     wedges = int((deg * (deg - 1) // 2).sum())
     return FeatureVector(
         nodes=n,

@@ -16,11 +16,12 @@ S, so that q_ij = w_ij / S,
 A step walks the rows in blocks of ROWS.  Per block it computes the
 coordinate differences, the kernel (zero on the diagonal) and its row sums,
 and the per-row attractive and repulsive sums; S is the sum of all the row
-sums, so the step makes one pass in four ROWS x N scratch arrays.  Every
-value is a sum along one row, and the sum over rows comes after, so no byte
-depends on ROWS.  The KL divergence, computed only at the trace points, is a
-sum of per-row sums in the same blocks.  Only the KL clips q at 1e-12, where
-the clip guards the log; the gradient uses w and S as they are.
+sums, so the step makes one pass in four ROWS x N arrays that it allocates
+itself; no state is kept between steps.  Every value is a sum along one
+row, and the sum over rows comes after, so no byte depends on ROWS.  The KL
+divergence, computed only at the trace points, is a sum of per-row sums in
+the same blocks.  Only the KL clips q at 1e-12, where the clip guards the
+log; the gradient uses w and S as they are.
 
 No value that reaches an output goes through BLAS: distances are sums of
 squared per-coordinate differences and every other product is an
@@ -50,15 +51,6 @@ class Embedding:
     points: np.ndarray
     kl: float
     kl_trace: tuple[tuple[int, float], ...]
-
-
-# Four ROWS x N float64 arrays for the block passes below to compute in.
-Work = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _buffers(n: int) -> Work:
-    rows = min(ROWS, n)
-    return tuple(np.empty((rows, n)) for _ in range(4))
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
@@ -124,16 +116,16 @@ def joint_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum((p_cond + p_cond.T) / (2.0 * n), _EPS)
 
 
-def _kernel_blocks(y: np.ndarray, work: Work | None):
+def _kernel_blocks(y: np.ndarray):
     """For each block of ROWS rows of y, yield its slice, the differences
     dx = y_i0 - y_j0 and dy = y_i1 - y_j1, the Student-t kernel
     1/(1 + (dx^2 + dy^2)) with zero at j = i, and a free array, all views
-    into work; the next block overwrites them.
+    into four ROWS x N arrays of this call; the next block overwrites them.
 
     Most operations write over one of their inputs: at 500 rows that made a
     step about a fifth faster than writing each result to a third array."""
     n = len(y)
-    work = _buffers(n) if work is None else work
+    work = [np.empty((min(ROWS, n), n)) for _ in range(4)]
     coords = np.ascontiguousarray(y.T)
     for start in range(0, n, ROWS):
         rows = slice(start, min(start + ROWS, n))
@@ -149,16 +141,16 @@ def _kernel_blocks(y: np.ndarray, work: Work | None):
         yield rows, dx, dy, num, scratch
 
 
-def kl_divergence(p: np.ndarray, y: np.ndarray, work: Work | None = None) -> float:
+def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
     """KL(P || Q) for low-dimensional positions y, Q = max(kernel / S, 1e-12),
-    over the entries with p > 1e-12; work is overwritten.  A first pass over
-    the blocks finds S, a second sums the terms."""
+    over the entries with p > 1e-12.  A first pass over the blocks finds S,
+    a second sums the terms."""
     row_sums = np.empty(len(y))
-    for rows, _, _, num, _ in _kernel_blocks(y, work):
+    for rows, _, _, num, _ in _kernel_blocks(y):
         row_sums[rows] = num.sum(axis=1)
     total = row_sums.sum()
     row_kl = np.empty(len(y))
-    for rows, _, _, num, terms in _kernel_blocks(y, work):
+    for rows, _, _, num, terms in _kernel_blocks(y):
         p_rows = p[rows]
         np.divide(num, total, out=terms)
         np.maximum(terms, _EPS, out=terms)
@@ -170,19 +162,18 @@ def kl_divergence(p: np.ndarray, y: np.ndarray, work: Work | None = None) -> flo
     return float(row_kl.sum())
 
 
-def kl_gradient(p: np.ndarray, y: np.ndarray, work: Work | None = None) -> np.ndarray:
+def kl_gradient(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of KL(P || Q) with respect to the positions y:
     4 * (sum_j p_ij w_ij (y_i - y_j) - sum_j w_ij^2 (y_i - y_j) / S), with
     w the Student-t kernel and S its total.
 
-    work is overwritten; tsne passes the same arrays to every step, so a step
-    allocates no N x N array.
+    A step allocates its four ROWS x N block arrays and no N x N array.
     """
     n = len(y)
     row_sums = np.empty(n)
     attractive = np.empty((n, 2))
     repulsive = np.empty((n, 2))
-    for rows, dx, dy, num, scratch in _kernel_blocks(y, work):
+    for rows, dx, dy, num, scratch in _kernel_blocks(y):
         row_sums[rows] = num.sum(axis=1)
         for axis, diff in enumerate((dx, dy)):
             weighted = np.multiply(diff, num, out=diff)
@@ -219,7 +210,6 @@ def tsne(
         raise ValueError(f"learning rate must be positive, got {learning_rate:g}")
     p = joint_affinities(_pairwise_sq_dists(x), perplexity)
     p_exaggerated = p * EXAGGERATION
-    work = _buffers(n)
     rng = make_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
@@ -231,13 +221,13 @@ def tsne(
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, iterations + 1):
                 exaggerated = it <= EXAGGERATION_ITERS
-                grad = kl_gradient(p_exaggerated if exaggerated else p, y, work)
+                grad = kl_gradient(p_exaggerated if exaggerated else p, y)
                 momentum = 0.5 if exaggerated else 0.8
                 velocity = momentum * velocity - learning_rate * grad
                 y = y + velocity
                 y = y - y.mean(axis=0)
                 if it % 50 == 0 or it == EXAGGERATION_ITERS or it == iterations:
-                    kl = kl_divergence(p, y, work)
+                    kl = kl_divergence(p, y)
                     trace.append((it, kl))
     except FloatingPointError:
         raise ValueError(_DIVERGED) from None

@@ -675,7 +675,7 @@ class TestTrainPredict:
                 "list of booleans"),
             "log_flags one too many": (
                 edited(["params", "log_flags"], good["params"]["log_flags"] + [False]),
-                "expected rows of 16 features"),
+                f"{bad.name}: the model takes 16 features, but a graph gives 15"),
             "params trees a string": (edited(["params", "trees"], "7"), "must be integers"),
             "params trees one more than stored": (
                 edited(["params", "trees"], len(good["trees"]) + 1),
@@ -691,6 +691,12 @@ class TestTrainPredict:
             bad.write_text(text, encoding="utf-8")
             assert main(["predict", str(bad), graph]) == 1, name
             assert message in capsys.readouterr().err, name
+
+        # The model's width is checked before any graph is read.
+        bad.write_text(cases["log_flags one too many"][0], encoding="utf-8")
+        assert main(["predict", str(bad), str(tmp_path / "absent.edges")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: the model takes 16 features, but a graph gives 15"]
 
     def test_internal_errors_map_to_3(self, tmp_path, corpus, capsys, monkeypatch):
         import netclass.cli as cli_module

@@ -3,8 +3,9 @@ the cross-validation folds and t-SNE.
 
 Graphs are drawn small and tie-heavy (circulants, where every node has the
 same degree, plus a few random edges), so the (degree, id) tie-breaking of
-the peel order is exercised on almost every example.  They are built
-through Matrix Market text, which keeps isolated nodes.  Tree tables are
+the peel order is exercised on almost every example; the peel orientation
+that the triangle, clique and colouring kernels read is checked row by row.
+They are built through Matrix Market text, which keeps isolated nodes.  Tree tables are
 drawn from a few values per column, so equal values, equal gains and cuts
 that do not exist are common; trees grown together, in chunks of a few
 rows, are compared with the reference one tree at a time; a forest's
@@ -96,6 +97,26 @@ def test_heuristics_match_reference_walk_of_the_peel_order(g):
     decomp = core_decomposition(g)
     assert clique_lower_bound(g, decomp) == oracles.greedy_clique(n, edges, order)
     assert greedy_chromatic(g, decomp) == oracles.greedy_coloring(n, edges, order)
+
+
+@PROPERTY
+@given(graphs())
+def test_peel_orientation_rows_are_the_later_neighbors(g):
+    n = g.node_count
+    decomp = core_decomposition(g)
+    pos = np.empty(n, dtype=np.int64)
+    pos[decomp.peel_order] = np.arange(n)
+    ptr, later = decomp.later_ptr, decomp.later
+    assert len(ptr) == n + 1
+    for i, v in enumerate(decomp.peel_order):
+        row = later[ptr[i]:ptr[i + 1]]
+        assert row.tolist() == sorted(int(j) for j in pos[g.neighbors(v)] if j > i)
+        assert len(row) <= decomp.core_numbers[v]
+        assert decomp.later_keys[ptr[i]:ptr[i + 1]].tolist() == (i * n + row).tolist()
+    assert len(decomp.later_keys) == len(later) == g.edge_count
+    counts, total = triangle_counts(g, decomp)
+    default_counts, default_total = triangle_counts(g)
+    assert counts.tolist() == default_counts.tolist() and total == default_total
 
 
 @PROPERTY
