@@ -64,8 +64,7 @@ class CoreDecomposition:
     later[later_ptr[i]:later_ptr[i + 1]] are the positions j > i of the
     neighbors of peel_order[i], ascending, and later_keys holds each such
     pair (i, j) once as i * n + j, sorted.  Row i has at most
-    core_numbers[peel_order[i]] entries.  triangle_counts,
-    clique_lower_bound and greedy_chromatic all read these rows.
+    core_numbers[peel_order[i]] entries.
     """
 
     core_numbers: np.ndarray

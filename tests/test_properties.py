@@ -5,11 +5,11 @@ Graphs are drawn small and tie-heavy (circulants, where every node has the
 same degree, plus a few random edges), so the (degree, id) tie-breaking of
 the peel order is exercised on almost every example; the peel orientation
 that the triangle, clique and colouring kernels read is checked row by row.
-They are built through Matrix Market text, which keeps isolated nodes.  Tree tables are
-drawn from a few values per column, so equal values, equal gains and cuts
-that do not exist are common; trees grown together, in chunks of a few
-rows, are compared with the reference one tree at a time; a forest's
-thresholds on a linear column scale with it by powers of two.  Matrix Market
+They are built through Matrix Market text, which keeps isolated nodes.
+Tree tables are drawn from a few values per column, so equal values, equal
+gains and cuts that do not exist are common; trees grown together, in
+chunks of a few rows, are compared with the reference one tree at a time; a
+forest's thresholds on a linear column scale with it by powers of two.  Matrix Market
 texts use every line end that str.splitlines knows and are compared with a
 copy of the earlier reader.
 Fold arrays are compared with the earlier list-of-folds deal.
