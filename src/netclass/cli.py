@@ -163,6 +163,10 @@ def atomic_write(path: str, text: str) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
+            # mkstemp creates the file as 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, target)
         except BaseException:
             try:

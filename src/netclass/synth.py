@@ -120,7 +120,7 @@ class GeneratorSpec:
                     raise ValueError(f"bad probability range [{plo}, {phi}]")
             else:
                 dlo, dhi = self.avg_degree_range
-                if not 0.0 <= dlo <= dhi:
+                if not (0.0 <= dlo <= dhi and math.isfinite(dhi)):
                     raise ValueError(f"bad degree range [{dlo}, {dhi}]")
             if self.m_range is not None:
                 raise ValueError("m range is a BA parameter")

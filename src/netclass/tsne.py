@@ -23,6 +23,12 @@ divergence, computed only at the trace points, is a sum of per-row sums in
 the same blocks.  Only the KL clips q at 1e-12, where the clip guards the
 log; the gradient uses w and S as they are.
 
+Each row's Gaussian precision is bisected until its entropy is within
+ENTROPY_TOL_BITS of log2(perplexity), all rows in lockstep: a round
+evaluates, in one array, the rows not yet within the tolerance, so each row
+takes the precisions it would alone.  A row whose every affinity underflows
+stays zero and has entropy -inf, so its precision is lowered.
+
 No value that reaches an output goes through BLAS: distances are sums of
 squared per-coordinate differences and every other product is an
 elementwise ufunc, so the points do not depend on how many threads BLAS
@@ -63,23 +69,21 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _row_affinities(d2_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    """Entropy in bits and normalized affinities for one row at precision beta."""
-    p = np.exp(-d2_row * beta)
-    total = p.sum()
-    if total <= 0.0:
-        # All mass underflowed; fall back to uniform over the other points.
-        p = np.ones_like(p) / len(p)
-        return np.log2(len(p)), p
-    p = p / total
-    nz = p > 0.0
-    entropy = float(-(p[nz] * np.log2(p[nz])).sum())
+def _affinities(d2: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies in bits and normalized affinities exp(-d2 * beta) of rows of
+    squared distances at per-row precisions beta.  A row whose every
+    affinity underflows stays zero and has entropy -inf."""
+    p = np.multiply(d2, -beta[:, None])
+    np.exp(p, out=p)
+    total = p.sum(axis=1, keepdims=True)
+    np.divide(p, total, out=p, where=total > 0.0)
+    terms = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    entropy = -np.multiply(terms, p, out=terms).sum(axis=1)
+    entropy[total[:, 0] <= 0.0] = -np.inf
     return entropy, p
 
 
-def conditional_affinities(
-    d2: np.ndarray, perplexity: float
-) -> tuple[np.ndarray, np.ndarray]:
+def conditional_affinities(d2: np.ndarray, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row conditional probabilities with entropy matched to log2(perplexity).
 
     Each row's Gaussian precision is found by bisection until the row entropy
@@ -88,25 +92,21 @@ def conditional_affinities(
     """
     n = d2.shape[0]
     target = float(np.log2(perplexity))
-    p_cond = np.zeros((n, n), dtype=np.float64)
-    entropies = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        row = np.delete(d2[i], i)
-        beta, lo, hi = 1.0, 0.0, np.inf
-        entropy, p = _row_affinities(row, beta)
-        for _ in range(BISECTION_STEPS):
-            if abs(entropy - target) <= ENTROPY_TOL_BITS:
-                break
-            if entropy > target:
-                lo = beta
-                beta = beta * 2.0 if hi == np.inf else (lo + hi) / 2.0
-            else:
-                hi = beta
-                beta = (lo + hi) / 2.0
-            entropy, p = _row_affinities(row, beta)
-        p_cond[i, :i] = p[:i]
-        p_cond[i, i + 1:] = p[i:]
-        entropies[i] = entropy
+    off_diagonal = ~np.eye(n, dtype=bool)
+    dists = d2[off_diagonal].reshape(n, n - 1)
+    beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
+    entropies, p = _affinities(dists, beta)
+    for _ in range(BISECTION_STEPS):
+        rows = np.flatnonzero(np.abs(entropies - target) > ENTROPY_TOL_BITS)
+        if not rows.size:
+            break
+        up = entropies[rows] > target
+        lo[rows[up]] = beta[rows[up]]
+        hi[rows[~up]] = beta[rows[~up]]
+        beta[rows] = np.where(hi[rows] == np.inf, beta[rows] * 2.0, (lo[rows] + hi[rows]) / 2.0)
+        entropies[rows], p[rows] = _affinities(dists[rows], beta[rows])
+    p_cond = np.zeros((n, n))
+    p_cond[off_diagonal] = p.ravel()
     return p_cond, entropies
 
 

@@ -378,6 +378,46 @@ def matrix_market_outcome(parse, text):
     return g.node_count, list(g.edges()), labels
 
 
+def conditional_affinities_reference(d2, perplexity):
+    """The reference for tsne.conditional_affinities: each row bisected alone.
+
+    A row's affinities are exp(-d * beta) over the other points, normalized;
+    its entropy is -sum p log2 p over its entries with p > 0, or -inf when
+    every entry underflows, which lowers beta.  Bisection starts at beta = 1,
+    doubles beta until an upper bound exists, and stops within 1e-5 bits of
+    log2(perplexity) or after 200 steps.
+    """
+    n = len(d2)
+    target = float(np.log2(perplexity))
+    p_cond = np.zeros((n, n))
+    entropies = np.zeros(n)
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        d = d2[i, others]
+        beta, lo, hi = 1.0, 0.0, float("inf")
+        for step in range(201):
+            p = np.exp(-d * beta)
+            total = p.sum()
+            if total > 0.0:
+                p = p / total
+                log_p = np.zeros_like(p)
+                log_p[p > 0.0] = np.log2(p[p > 0.0])
+                entropy = -(p * log_p).sum()
+            else:
+                entropy = -float("inf")
+            if abs(entropy - target) <= 1e-5 or step == 200:
+                break
+            if entropy > target:
+                lo = beta
+                beta = beta * 2.0 if hi == float("inf") else (lo + hi) / 2.0
+            else:
+                hi = beta
+                beta = (lo + hi) / 2.0
+        p_cond[i, others] = p
+        entropies[i] = entropy
+    return p_cond, entropies
+
+
 def kl_and_grad(p, y):
     """KL(P || Q) and its gradient for positions y, in full N x N arrays:
     the attractive sum minus the repulsive sum over the kernel's total, and

@@ -166,6 +166,8 @@ BAD_SETTINGS = [
     # Every output names its rows, so a name may appear only once.
     *[(command, [], f"dup_{command}.csv: feature CSV line 4: duplicate name 'g'")
       for command in TABLE_COMMANDS],
+    # An infinite degree bound is refused before any graph is drawn.
+    ("generate", [], "inf_degree.ini: bad [er] section: bad degree range [1.0, inf]"),
 ]
 
 
@@ -207,6 +209,8 @@ BAD_INPUT_FILES = [
         [CSV_HEADER] + [feature_line(name, category) for name, category in
                         [("g", "BA"), ("h", "ER"), ("g", "ER")]]) + "\n")
       for command in TABLE_COMMANDS],
+    ("inf_degree.ini", "[er]\ncount = 1\nnodes_min = 10\nnodes_max = 20\n"
+     "avg_degree_min = 1\navg_degree_max = inf\n"),
 ]
 BAD_INPUTS = {
     message: input_file
@@ -354,6 +358,26 @@ class TestGenerate:
     def test_no_leftover_temp_files(self, corpus):
         names = [p.name for p in corpus["graphs"].iterdir()]
         assert not any(n.startswith(".tmp.netclass.") for n in names)
+
+    def test_outputs_get_the_mode_the_umask_gives(self, tmp_path):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(SPEC_SEEDLESS, encoding="utf-8")
+        graphs, features, model = tmp_path / "g", tmp_path / "f.csv", tmp_path / "m.json"
+        outputs = [graphs / "manifest.csv", graphs / "er_0000.edges", features, model]
+        previous = os.umask(0o022)
+        try:
+            # The second run replaces the first run's files.
+            for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+                os.umask(umask)
+                assert main(["generate", str(spec), "--out-dir", str(graphs)]) == 0
+                assert main(["features", str(graphs / "manifest.csv"),
+                             "--out", str(features)]) == 0
+                assert main(["train", str(features), "--model-out", str(model),
+                             "--trees", "3"]) == 0
+                assert [oct(path.stat().st_mode & 0o777) for path in outputs] \
+                    == [oct(mode)] * len(outputs)
+        finally:
+            os.umask(previous)
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         spec = tmp_path / "bad.ini"

@@ -17,7 +17,9 @@ Barabási–Albert graphs are compared with the loop that recomputes the
 degree prefix per node and draws one target at a time.  t-SNE runs, in
 blocks of 1, 7 or the module's own count of rows, are compared byte for
 byte with a loop that computes the KL and gradient in full N x N arrays on
-every step.
+every step.  The t-SNE affinities, calibrated for all rows in lockstep, are
+compared byte for byte with rows bisected one at a time, on tables that
+sometimes hold a row so far from the others that it underflows.
 """
 
 import importlib
@@ -54,7 +56,12 @@ from netclass.graph import (  # noqa: E402
     write_edge_list,
 )
 from netclass.synth import barabasi_albert  # noqa: E402
-from netclass.tsne import _pairwise_sq_dists, joint_affinities, tsne  # noqa: E402
+from netclass.tsne import (  # noqa: E402
+    _pairwise_sq_dists,
+    conditional_affinities,
+    joint_affinities,
+    tsne,
+)
 
 # The module, which the package's tsne function shadows as an attribute.
 tsne_module = importlib.import_module("netclass.tsne")
@@ -423,3 +430,26 @@ def test_tsne_matches_reference_loop_byte_for_byte(run):
     assert got == _exact(lambda: oracles.tsne_reference(p, iterations, learning_rate, seed))
     if learning_rate > 1e299:
         assert got == "optimization diverged; lower the learning rate"
+
+
+@st.composite
+def affinity_tables(draw):
+    n = draw(st.integers(5, 60))
+    x = np.random.default_rng(draw(st.integers(0, 2**32))).normal(
+        size=(n, draw(st.integers(1, 4)))) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    x[: draw(st.integers(0, 2))] = x[-1]  # repeated rows
+    for row in range(draw(st.integers(0, 2))):  # far rows, which may underflow at beta 1
+        x[row] += draw(st.floats(28.0, 1000.0)) * (1 + row)
+    return x, draw(st.floats(1.0, (n - 1) / 3.0, exclude_max=True))
+
+
+@PROPERTY
+@given(affinity_tables())
+@example((np.vstack([np.random.default_rng(2).normal(size=(60, 3)), [[40.0] * 3]]), 10.0))
+def test_lockstep_affinities_match_rows_bisected_alone(case):
+    x, perplexity = case
+    d2 = _pairwise_sq_dists(x)
+    p_cond, entropies = conditional_affinities(d2, perplexity)
+    ref_p, ref_entropies = oracles.conditional_affinities_reference(d2, perplexity)
+    assert p_cond.tobytes() == ref_p.tobytes()
+    assert entropies.tobytes() == ref_entropies.tobytes()

@@ -139,6 +139,11 @@ class TestGeneratorSpec:
                 family="ER", count=1, nodes_range=(5, 9), master_seed=0
             )
 
+    def test_er_degree_range_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"bad degree range \[1.0, inf\]"):
+            GeneratorSpec(family="ER", count=1, nodes_range=(5, 9), master_seed=0,
+                          avg_degree_range=(1.0, float("inf")))
+
     def test_ba_m_must_stay_below_node_floor(self):
         with pytest.raises(ValueError, match="m_hi < n_lo"):
             self.ba_spec(nodes_range=(4, 10), m_range=(2, 4))

@@ -1,5 +1,7 @@
 """t-SNE: affinity calibration, gradient correctness, optimization traces."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,12 @@ def blobs(rng, per=20, centers=((0, 0), (8, 8), (-8, 8))):
 class TestAffinities:
     def test_row_entropy_matches_perplexity(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(40, 5))
-        for perplexity in (5.0, 12.0):
+        # The second table has one row at least 28 units from all others,
+        # so every affinity of that row underflows at the starting precision 1.
+        tables = [rng.normal(size=(40, 5)),
+                  np.vstack([rng.normal(size=(60, 3)), [[40.0, 40.0, 40.0]]])]
+        assert _pairwise_sq_dists(tables[1])[-1, :-1].min() > 28.0 ** 2
+        for x, perplexity in itertools.product(tables, (5.0, 12.0)):
             p_cond, entropies = conditional_affinities(
                 _pairwise_sq_dists(x), perplexity
             )
