@@ -2,16 +2,18 @@
 
 All pairwise affinities are computed, so cost is O(N^2) per iteration;
 intended for corpora of a few hundred rows.  Optimization is plain gradient
-descent with momentum (0.5 for the first 250 iterations, 0.8 after), early
-exaggeration x12 over the first 250 iterations, and a fixed learning rate.
-No adaptive per-parameter gains are used.
+descent with momentum (0.5 for the first 250 iterations, 0.8 after) and a
+fixed learning rate.  No adaptive per-parameter gains are used.
 
 The gradient of KL(P || Q) is split into an attractive and a repulsive sum
 (van der Maaten, "Accelerating t-SNE using tree-based algorithms", JMLR 15,
 2014).  With the Student-t kernel w_ij = 1/(1 + |y_i - y_j|^2) and its total
 S, so that q_ij = w_ij / S,
 
-    dC/dy_i = 4 * (sum_j p_ij w_ij (y_i - y_j) - sum_j w_ij^2 (y_i - y_j) / S).
+    dC/dy_i = 4 * (a * sum_j p_ij w_ij (y_i - y_j) - sum_j w_ij^2 (y_i - y_j) / S),
+
+where early exaggeration sets a = 12 for the first 250 iterations and 1
+after; it scales the attractive sum, so one P serves the whole run.
 
 A step walks the rows in blocks of ROWS.  Per block it computes the
 coordinate differences, the kernel (zero on the diagonal) and its row sums,
@@ -24,10 +26,12 @@ the same blocks.  Only the KL clips q at 1e-12, where the clip guards the
 log; the gradient uses w and S as they are.
 
 Each row's Gaussian precision is bisected until its entropy is within
-ENTROPY_TOL_BITS of log2(perplexity), all rows in lockstep: a round
-evaluates, in one array, the rows not yet within the tolerance, so each row
-takes the precisions it would alone.  A row whose every affinity underflows
-stays zero and has entropy -inf, so its precision is lowered.
+ENTROPY_TOL_BITS of log2(perplexity), all rows in lockstep on one N x N
+array: the squared distances, +inf on the diagonal, each row shifted by its
+nearest distance.  The shift cancels when a row is normalized, and it makes
+the nearest affinity exp(0) = 1, so no row total underflows.  A round
+evaluates only the rows not yet within the tolerance, so each row takes the
+precisions it would alone.
 
 No value that reaches an output goes through BLAS: distances are sums of
 squared per-coordinate differences and every other product is an
@@ -61,39 +65,39 @@ class Embedding:
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of x: squared per-column
-    differences summed column by column, exactly zero on the diagonal."""
+    differences summed column by column, exactly zero on the diagonal.
+    Raises ValueError when a distance overflows float64."""
     d2 = np.zeros((len(x), len(x)))
-    for column in x.T:
-        diff = np.subtract.outer(column, column)
-        d2 += np.multiply(diff, diff, out=diff)
+    with np.errstate(over="ignore"):
+        for column in x.T:
+            diff = np.subtract.outer(column, column)
+            d2 += np.multiply(diff, diff, out=diff)
+    if not np.isfinite(d2).all():
+        raise ValueError("squared distances between rows overflow float64")
     return d2
 
 
 def _affinities(d2: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropies in bits and normalized affinities exp(-d2 * beta) of rows of
-    squared distances at per-row precisions beta.  A row whose every
-    affinity underflows stays zero and has entropy -inf."""
+    shifted squared distances at per-row precisions beta; far entries may
+    underflow to 0, so log2 is taken only where p > 0."""
     p = np.multiply(d2, -beta[:, None])
     np.exp(p, out=p)
-    total = p.sum(axis=1, keepdims=True)
-    np.divide(p, total, out=p, where=total > 0.0)
+    np.divide(p, p.sum(axis=1, keepdims=True), out=p)
     terms = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
     entropy = -np.multiply(terms, p, out=terms).sum(axis=1)
-    entropy[total[:, 0] <= 0.0] = -np.inf
     return entropy, p
 
 
 def conditional_affinities(d2: np.ndarray, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row conditional probabilities with entropy matched to log2(perplexity).
-
-    Each row's Gaussian precision is found by bisection until the row entropy
-    (in bits) is within 1e-5 of the target, or BISECTION_STEPS steps run out.
-    Returns (P_conditional with zero diagonal, achieved entropies in bits).
-    """
+    """Per-row conditional probabilities with entropy matched to log2(perplexity)
+    by at most BISECTION_STEPS bisection steps per row, as the module says.
+    Returns (P_conditional with zero diagonal, achieved entropies in bits)."""
     n = d2.shape[0]
     target = float(np.log2(perplexity))
-    off_diagonal = ~np.eye(n, dtype=bool)
-    dists = d2[off_diagonal].reshape(n, n - 1)
+    dists = np.array(d2, dtype=np.float64)
+    np.fill_diagonal(dists, np.inf)
+    dists -= dists.min(axis=1, keepdims=True)
     beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
     entropies, p = _affinities(dists, beta)
     for _ in range(BISECTION_STEPS):
@@ -105,15 +109,12 @@ def conditional_affinities(d2: np.ndarray, perplexity: float) -> tuple[np.ndarra
         hi[rows[~up]] = beta[rows[~up]]
         beta[rows] = np.where(hi[rows] == np.inf, beta[rows] * 2.0, (lo[rows] + hi[rows]) / 2.0)
         entropies[rows], p[rows] = _affinities(dists[rows], beta[rows])
-    p_cond = np.zeros((n, n))
-    p_cond[off_diagonal] = p.ravel()
-    return p_cond, entropies
+    return p, entropies
 
 
 def joint_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
     p_cond, _ = conditional_affinities(d2, perplexity)
-    n = d2.shape[0]
-    return np.maximum((p_cond + p_cond.T) / (2.0 * n), _EPS)
+    return np.maximum((p_cond + p_cond.T) / (2.0 * len(d2)), _EPS)
 
 
 def _kernel_blocks(y: np.ndarray):
@@ -162,10 +163,9 @@ def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
     return float(row_kl.sum())
 
 
-def kl_gradient(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of KL(P || Q) with respect to the positions y:
-    4 * (sum_j p_ij w_ij (y_i - y_j) - sum_j w_ij^2 (y_i - y_j) / S), with
-    w the Student-t kernel and S its total.
+def kl_gradient(p: np.ndarray, y: np.ndarray, exaggeration: float = 1.0) -> np.ndarray:
+    """Gradient of KL(P || Q) with respect to the positions y: the module
+    docstring's dC/dy_i, with a = exaggeration scaling the attractive sum.
 
     A step allocates its four ROWS x N block arrays and no N x N array.
     """
@@ -179,7 +179,7 @@ def kl_gradient(p: np.ndarray, y: np.ndarray) -> np.ndarray:
             weighted = np.multiply(diff, num, out=diff)
             attractive[rows, axis] = np.multiply(weighted, p[rows], out=scratch).sum(axis=1)
             repulsive[rows, axis] = np.multiply(weighted, num, out=weighted).sum(axis=1)
-    return 4.0 * (attractive - repulsive / row_sums.sum())
+    return 4.0 * (exaggeration * attractive - repulsive / row_sums.sum())
 
 
 def tsne(
@@ -209,7 +209,6 @@ def tsne(
     if not learning_rate > 0.0:
         raise ValueError(f"learning rate must be positive, got {learning_rate:g}")
     p = joint_affinities(_pairwise_sq_dists(x), perplexity)
-    p_exaggerated = p * EXAGGERATION
     rng = make_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
@@ -221,7 +220,7 @@ def tsne(
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, iterations + 1):
                 exaggerated = it <= EXAGGERATION_ITERS
-                grad = kl_gradient(p_exaggerated if exaggerated else p, y)
+                grad = kl_gradient(p, y, EXAGGERATION if exaggerated else 1.0)
                 momentum = 0.5 if exaggerated else 0.8
                 velocity = momentum * velocity - learning_rate * grad
                 y = y + velocity

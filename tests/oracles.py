@@ -381,30 +381,27 @@ def matrix_market_outcome(parse, text):
 def conditional_affinities_reference(d2, perplexity):
     """The reference for tsne.conditional_affinities: each row bisected alone.
 
-    A row's affinities are exp(-d * beta) over the other points, normalized;
-    its entropy is -sum p log2 p over its entries with p > 0, or -inf when
-    every entry underflows, which lowers beta.  Bisection starts at beta = 1,
-    doubles beta until an upper bound exists, and stops within 1e-5 bits of
-    log2(perplexity) or after 200 steps.
+    A row's distances are its full row of d2 with +inf at the point itself,
+    shifted by their minimum; its affinities are exp(-d * beta), normalized,
+    and its entropy is -sum p log2 p over its entries with p > 0.  Bisection
+    starts at beta = 1, doubles beta until an upper bound exists, and stops
+    within 1e-5 bits of log2(perplexity) or after 200 steps.
     """
     n = len(d2)
     target = float(np.log2(perplexity))
     p_cond = np.zeros((n, n))
     entropies = np.zeros(n)
     for i in range(n):
-        others = [j for j in range(n) if j != i]
-        d = d2[i, others]
+        d = d2[i].copy()
+        d[i] = float("inf")
+        d = d - d.min()
         beta, lo, hi = 1.0, 0.0, float("inf")
         for step in range(201):
             p = np.exp(-d * beta)
-            total = p.sum()
-            if total > 0.0:
-                p = p / total
-                log_p = np.zeros_like(p)
-                log_p[p > 0.0] = np.log2(p[p > 0.0])
-                entropy = -(p * log_p).sum()
-            else:
-                entropy = -float("inf")
+            p = p / p.sum()
+            log_p = np.zeros_like(p)
+            log_p[p > 0.0] = np.log2(p[p > 0.0])
+            entropy = -(p * log_p).sum()
             if abs(entropy - target) <= 1e-5 or step == 200:
                 break
             if entropy > target:
@@ -413,15 +410,16 @@ def conditional_affinities_reference(d2, perplexity):
             else:
                 hi = beta
                 beta = (lo + hi) / 2.0
-        p_cond[i, others] = p
+        p_cond[i] = p
         entropies[i] = entropy
     return p_cond, entropies
 
 
-def kl_and_grad(p, y):
+def kl_and_grad(p, y, exaggeration=1.0):
     """KL(P || Q) and its gradient for positions y, in full N x N arrays:
-    the attractive sum minus the repulsive sum over the kernel's total, and
-    the KL over the entries with p > 1e-12 as a sum of row sums."""
+    the attractive sum times the exaggeration minus the repulsive sum over
+    the kernel's total, and the KL over the entries with p > 1e-12 as a sum
+    of row sums."""
     dx = y[:, 0, None] - y[None, :, 0]
     dy = y[:, 1, None] - y[None, :, 1]
     num = 1.0 / (1.0 + (dx * dx + dy * dy))
@@ -433,7 +431,7 @@ def kl_and_grad(p, y):
     kl = float(terms.sum(axis=1).sum())
     attractive = np.stack([(num * d * p).sum(axis=1) for d in (dx, dy)], axis=1)
     repulsive = np.stack([(num * d * num).sum(axis=1) for d in (dx, dy)], axis=1)
-    grad = 4.0 * (attractive - repulsive / total)
+    grad = 4.0 * (exaggeration * attractive - repulsive / total)
     return kl, grad
 
 
@@ -454,8 +452,7 @@ def tsne_reference(p, iterations, learning_rate, seed):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, iterations + 1):
                 exaggerated = it <= 250
-                p_eff = p * 12.0 if exaggerated else p
-                _, grad = kl_and_grad(p_eff, y)
+                _, grad = kl_and_grad(p, y, 12.0 if exaggerated else 1.0)
                 momentum = 0.5 if exaggerated else 0.8
                 velocity = momentum * velocity - learning_rate * grad
                 y = y + velocity

@@ -35,7 +35,7 @@ GOLDEN = {
     "reports/confusion.csv": "122cca701d09786d9216d68230b6f1f2d70e0363fd6fd0540c16bf7818c068c1",
     "reports/confusion.txt": "d7f9bfdd9d051b3dbf8d44028d03d2dd6cf1ab3a579c34648d1775d25e68e78a",
     "reports/misclassified.csv": "e636aa91209196f364bcfda749ba49ccbbe556cc2e9ba00f7cc6ef47b9582f22",
-    "embed.csv": "e7e41a89551c6e3666f1e6bd1a29ded4f63cad85915ba83c7aa10eb41964b079",
+    "embed.csv": "df7dbe40cd3ae2fca59f5d7f0b41f730137ce84cd4b9f28fe2c7c70a7cc4a3f1",
     "clusters.csv": "01625c3ff015783c15f0d2fd7d062ff170ed2b47c6c46dff1991199adf29d2c3",
     "overlap.txt": "60c76bf1e05e34160122757413c3b5448abfe50851d893362e881f69262949d4",
 }
@@ -51,7 +51,7 @@ STOCK_GOLDEN = {
     "reports/confusion.csv": "def18a0cdbf48ccfc5051605298c0a68d26a28ddd822924b49f596220f580db1",
     "reports/confusion.txt": "0974612911ab91d6789b907526be39ebfc9548895090b5bbda90de8b2dde2195",
     "reports/misclassified.csv": "319dea07dd0028473bdb0485043de1f4928c92d6290d7c4b71f212cf65b63982",
-    "embed.csv": "3aa546573059e038f6bc006e7adc89bdde1e834ba46859ae472588f900def6af",
+    "embed.csv": "5f4bbce21e191e572bc4bd3da063f39527e4fa30146244fef6bea45f87b6e07d",
     "clusters.csv": "466960645998911708d163d93ef18c0a7043ebc9d50c6c93d094494e46c0df20",
     "overlap.txt": "51374520678fb34f47266d6f84ef3849ec1da2693c334dc157c258cc29251503",
 }
@@ -110,7 +110,7 @@ MULTICLASS_GOLDEN = {
     "reports/confusion.csv": "94f6579e685175b608b46e1c89f379cf619de5493701d7887848f6ba84b34b74",
     "reports/confusion.txt": "119a30eb2cbe1d6cadbc43bf6ba2a2d0b17f2d17c806ad36bd194418084c4d2e",
     "reports/misclassified.csv": "0616ec86a1d0f97bc2a7a7bbd782dcb372bc7fcdb8a926ab75bd4269e98eb7e2",
-    "embed.csv": "18e4047d5915dfb1de9dc8f187a0528776f6d36553e17e7af9b50bad3556326b",
+    "embed.csv": "9e6b216a4fa2db40b26a5e993f2c1de4e4f3edfd0b9294a70a5fbb497c8f2b18",
 }
 
 

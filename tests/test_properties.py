@@ -19,7 +19,8 @@ blocks of 1, 7 or the module's own count of rows, are compared byte for
 byte with a loop that computes the KL and gradient in full N x N arrays on
 every step.  The t-SNE affinities, calibrated for all rows in lockstep, are
 compared byte for byte with rows bisected one at a time, on tables that
-sometimes hold a row so far from the others that it underflows.
+sometimes hold a row far from the others, whose affinities only the shift by
+its nearest distance keeps from underflowing.
 """
 
 import importlib
@@ -438,7 +439,9 @@ def affinity_tables(draw):
     x = np.random.default_rng(draw(st.integers(0, 2**32))).normal(
         size=(n, draw(st.integers(1, 4)))) * draw(st.sampled_from([0.1, 1.0, 5.0]))
     x[: draw(st.integers(0, 2))] = x[-1]  # repeated rows
-    for row in range(draw(st.integers(0, 2))):  # far rows, which may underflow at beta 1
+    # Far rows: without the shift by the nearest distance, every affinity of
+    # such a row would underflow at beta 1.
+    for row in range(draw(st.integers(0, 2))):
         x[row] += draw(st.floats(28.0, 1000.0)) * (1 + row)
     return x, draw(st.floats(1.0, (n - 1) / 3.0, exclude_max=True))
 
@@ -446,6 +449,10 @@ def affinity_tables(draw):
 @PROPERTY
 @given(affinity_tables())
 @example((np.vstack([np.random.default_rng(2).normal(size=(60, 3)), [[40.0] * 3]]), 10.0))
+# Row 0's two nearest points are nearly tied and 3 units away: its target
+# precision would underflow every unshifted affinity of the row.
+@example((np.concatenate([[0.0, 3.0, -3.0000001],
+                          np.random.default_rng(0).normal(20, 1, 20)])[:, None], 1.5))
 def test_lockstep_affinities_match_rows_bisected_alone(case):
     x, perplexity = case
     d2 = _pairwise_sq_dists(x)

@@ -1,7 +1,5 @@
 """t-SNE: affinity calibration, gradient correctness, optimization traces."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -24,17 +22,23 @@ class TestAffinities:
     def test_row_entropy_matches_perplexity(self):
         rng = np.random.default_rng(2)
         # The second table has one row at least 28 units from all others,
-        # so every affinity of that row underflows at the starting precision 1.
-        tables = [rng.normal(size=(40, 5)),
-                  np.vstack([rng.normal(size=(60, 3)), [[40.0, 40.0, 40.0]]])]
-        assert _pairwise_sq_dists(tables[1])[-1, :-1].min() > 28.0 ** 2
-        for x, perplexity in itertools.product(tables, (5.0, 12.0)):
-            p_cond, entropies = conditional_affinities(
-                _pairwise_sq_dists(x), perplexity
-            )
-            assert np.allclose(entropies, np.log2(perplexity), atol=1e-5)
-            assert np.allclose(p_cond.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(np.diag(p_cond) == 0.0)
+        # whose every affinity would underflow at the starting precision 1
+        # without the shift by its nearest distance; the row must still
+        # reach its target.  In the third, row 0's two nearest points are
+        # nearly tied and 3 units away, and its target precision would
+        # underflow every unshifted affinity of the row.
+        plain = rng.normal(size=(40, 5))
+        far = np.vstack([rng.normal(size=(60, 3)), [[40.0, 40.0, 40.0]]])
+        tied = np.concatenate([[0.0, 3.0, -3.0000001],
+                               np.random.default_rng(0).normal(20, 1, 20)])[:, None]
+        cases = [(plain, (5.0, 12.0)), (far, (5.0, 12.0)), (tied, (1.5,))]
+        assert _pairwise_sq_dists(far)[-1, :-1].min() > 28.0 ** 2
+        for x, perplexities in cases:
+            for perplexity in perplexities:
+                p_cond, entropies = conditional_affinities(_pairwise_sq_dists(x), perplexity)
+                assert np.allclose(entropies, np.log2(perplexity), atol=1e-5)
+                assert np.allclose(p_cond.sum(axis=1), 1.0, atol=1e-12)
+                assert np.all(np.diag(p_cond) == 0.0)
 
     def test_joint_affinities_symmetric_and_normalized(self):
         rng = np.random.default_rng(3)
@@ -127,6 +131,14 @@ class TestValidation:
         x = np.zeros((10, 2))
         x[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
+            tsne(x, perplexity=2.0, iterations=10, seed=0)
+
+    def test_overflowing_distances_are_one_error(self):
+        # pytest turns warnings into errors, so an overflow warning from the
+        # distances would fail this test as well.
+        x = np.random.default_rng(0).normal(size=(12, 3))
+        x[0] = 1e160
+        with pytest.raises(ValueError, match="overflow"):
             tsne(x, perplexity=2.0, iterations=10, seed=0)
 
     def test_bad_iterations(self):
