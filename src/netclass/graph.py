@@ -175,11 +175,24 @@ def _parse_int_edges(tokens: np.ndarray) -> tuple[Graph, list]:
     return _build_graph(len(first), ids[0::2], ids[1::2]), flat[np.sort(first)].tolist()
 
 
+def _ascii_int(token: str) -> "int | None":
+    """The integer an optional sign and ASCII digits spell, else None.
+
+    int() alone also takes '_' separators and non-ASCII digits, so "1_000"
+    and "1000" would name one node.
+    """
+    digits = token[1:] if token[:1] in "+-" else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _coerce_label(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
+    value = _ascii_int(token)
+    return token if value is None else value
 
 
 def parse_edge_list(text: str) -> tuple[Graph, list]:
@@ -263,10 +276,9 @@ def parse_matrix_market(text: str) -> tuple[Graph, list]:
     dims = dim_line.split()
     if len(dims) != 3:
         raise GraphParseError(f"line {lineno}: expected 'rows cols nnz'")
-    try:
-        rows, cols, nnz = (int(t) for t in dims)
-    except ValueError:
-        raise GraphParseError(f"line {lineno}: non-integer dimensions") from None
+    rows, cols, nnz = (_ascii_int(t) for t in dims)
+    if None in (rows, cols, nnz):
+        raise GraphParseError(f"line {lineno}: non-integer dimensions")
     if min(rows, cols, nnz) < 0:
         raise GraphParseError(f"line {lineno}: negative dimensions {dim_line!r}")
     if rows != cols:
@@ -297,10 +309,9 @@ def parse_matrix_market(text: str) -> tuple[Graph, list]:
             raise GraphParseError(
                 f"line {lineno}: expected {want_tokens} tokens, got {len(tokens)}"
             )
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: non-integer index") from None
+        i, j = _ascii_int(tokens[0]), _ascii_int(tokens[1])
+        if i is None or j is None:
+            raise GraphParseError(f"line {lineno}: non-integer index")
         if not (1 <= i <= rows and 1 <= j <= rows):
             raise GraphParseError(
                 f"line {lineno}: index ({i},{j}) outside declared range 1..{rows}"

@@ -50,10 +50,14 @@ def _lloyd(x, k, max_iter, rng):
         new_assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), new_assign]
         # A cluster can lose all members; reseat its centroid on the point
-        # farthest from its current centroid so k never shrinks.
+        # farthest from its current centroid so k never shrinks.  The point
+        # is taken only from a cluster that keeps another member, so no
+        # reseat empties a cluster.
         present = np.bincount(new_assign, minlength=k)
         for c in np.nonzero(present == 0)[0]:
-            far = int(np.argmax(point_d2))
+            far = int(np.argmax(np.where(present[new_assign] > 1, point_d2, -1.0)))
+            present[new_assign[far]] -= 1
+            present[c] = 1
             centers[c] = x[far]
             new_assign[far] = c
             point_d2[far] = 0.0

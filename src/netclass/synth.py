@@ -38,49 +38,37 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 def barabasi_albert(n: int, m: int, seed: int) -> Graph:
     """Preferential attachment starting from a complete graph on m nodes.
 
-    Each new node draws m distinct targets with probability proportional to
-    current degree (rejection on duplicates; uniform while all degrees are
-    zero, which only happens for m = 1).  Edge count is always
-    C(m, 2) + m*(n - m).
-
-    A draw r in [0, 1) picks the first node whose degree prefix sum exceeds
-    r * total.  The prefix sums are kept as float64 and updated in place:
-    every sum is an integer below 2**53, so each is exact and each
-    comparison is the one an int64 prefix would give.  The missing targets
-    are drawn in one call; a draw adds at most one new target, so no draw is
-    taken that one-at-a-time rejection would not take, and PCG64's
-    random(k) gives the same k doubles as k scalar calls.  Updating the
-    prefix still touches O(t) elements for node t, O(n**2) in all, but as
-    one vector add per node.
+    Each new node takes m distinct targets, each drawn with probability
+    proportional to current degree (repeats are rejected), so the edge count
+    is C(m, 2) + m*(n - m).  As in Batagelj & Brandes (Phys. Rev. E 71,
+    036113, 2005), a target is a uniform pick from the array of every edge
+    end so far.  The missing targets are drawn in one call: random(k) gives
+    the same doubles as k scalar calls and a draw adds at most one new
+    target, so this is the one-at-a-time rejection loop.
     """
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = make_rng(seed)
-    # cum[i] is the degree sum of nodes 0..i.
-    cum = np.zeros(n)
-    cum[:m] = np.arange(1, m + 1) * (m - 1.0)
-    ranks = np.arange(1.0, m + 1)
-    # Row t - m holds node t's sorted targets, then t itself.
-    rows = np.empty((n - m, m + 1), dtype=np.int64)
-    rows[:, m] = np.arange(m, n)
-    for row in rows:
-        t = row[m]
-        total = cum[t - 1]
-        if total > 0:
-            chosen = row[:0]
-            while len(chosen) < m:
-                drawn = np.searchsorted(cum[:t], rng.random(m - len(chosen)) * total, side="right")
-                chosen = np.sort(np.concatenate([chosen, drawn]))
-                chosen = chosen[_starts(chosen)]
-            row[:m] = chosen
-        else:
-            row[0] = rng.integers(t)
-        # The k-th smallest target and every node up to the next one gain k.
-        cum[row[0]:t] += np.repeat(ranks, row[1:] - row[:-1])
-        cum[t] = cum[t - 1] + m
     us, vs = np.triu_indices(m, 1)
-    return _build_graph(n, np.concatenate([us, rows[:, :m].ravel()]),
-                        np.concatenate([vs, np.repeat(rows[:, m], m)]))
+    # The clique's ends, then per new node its sorted targets and m copies
+    # of itself; ends[:size] is filled.
+    ends = np.concatenate([us, vs, np.empty(2 * m * (n - m), dtype=np.int64)])
+    size = 2 * len(us)
+    for t in range(m, n):
+        # Only node 1 of m = 1 finds no ends: it takes node 0, with no draw.
+        chosen = ends[:0] if size else np.zeros(1, dtype=np.int64)
+        while len(chosen) < m:
+            drawn = ends[(rng.random(m - len(chosen)) * size).astype(np.int64)]
+            chosen = np.sort(np.concatenate([chosen, drawn]))
+            chosen = chosen[_starts(chosen)]
+        ends[size:size + m] = chosen
+        ends[size + m:size + 2 * m] = t
+        size += 2 * m
+    rows = ends[2 * len(us):].reshape(n - m, 2, m)
+    u = np.concatenate([us, rows[:, 0].ravel()])
+    v = np.concatenate([vs, rows[:, 1].ravel()])
+    del ends, rows
+    return _build_graph(n, u, v)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ code with the package under test, except that `relabel` and
 """
 
 import heapq
+import re
 from itertools import combinations
 from typing import Sequence
 
@@ -298,9 +299,17 @@ def cart_tree(x, y, features_per_split, min_split, seed, n_classes):
     )
 
 
+def _int(token):
+    """int(token) for an optional sign and ASCII digits; ValueError otherwise."""
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_matrix_market(text):
-    """The reference for graph.parse_matrix_market: the parent release's line
-    path, which produced every result and message its numpy path did not.
+    """The reference for graph.parse_matrix_market: an earlier release's line
+    path, which produced every result and message its numpy path did not,
+    with integers read as an optional sign and ASCII digits.
 
     Returns (node count, sorted (u, v) edges with u < v, label list), or
     raises ValueError with the package's message.
@@ -335,7 +344,7 @@ def parse_matrix_market(text):
     if len(dims) != 3:
         raise ValueError(f"line {dim_lineno}: expected 'rows cols nnz'")
     try:
-        rows, cols, nnz = (int(t) for t in dims)
+        rows, cols, nnz = (_int(t) for t in dims)
     except ValueError:
         raise ValueError(f"line {dim_lineno}: non-integer dimensions") from None
     if min(rows, cols, nnz) < 0:
@@ -353,7 +362,7 @@ def parse_matrix_market(text):
                 f"line {lineno}: expected {want_tokens} tokens, got {len(tokens)}"
             )
         try:
-            i, j = int(tokens[0]), int(tokens[1])
+            i, j = _int(tokens[0]), _int(tokens[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer index") from None
         if not (1 <= i <= rows and 1 <= j <= rows):
@@ -488,31 +497,21 @@ def stratified_kfold(labels, k, seed):
 
 
 def barabasi_albert_reference(n, m, seed):
-    """The reference for synth.barabasi_albert: the earlier loop, which
-    recomputes the int64 degree prefix for every new node and draws one
-    target at a time until it has m distinct ones."""
+    """The reference for synth.barabasi_albert: a list of every edge end so
+    far, from which one target at a time is picked uniformly until a new
+    node has m distinct ones."""
     rng = np.random.default_rng(seed)
     us, vs = np.triu_indices(m, 1)
-    us, vs = us.tolist(), vs.tolist()
-    deg = np.zeros(n, dtype=np.int64)
-    deg[:m] = m - 1
+    ends = us.tolist() + vs.tolist()
+    edges = list(zip(us.tolist(), vs.tolist()))
     for t in range(m, n):
-        weights = deg[:t]
-        total = int(weights.sum())
-        cum = np.cumsum(weights)
-        chosen = set()
-        while len(chosen) < m:
-            if total > 0:
-                target = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            else:
-                target = int(rng.integers(t))
-            chosen.add(target)
-        targets = list(chosen)
-        deg[targets] += 1
-        us += targets
-        vs += [t] * m
-        deg[t] = m
-    return _build_graph(n, us, vs)
+        targets = set() if ends else {0}
+        while len(targets) < m:
+            targets.add(ends[int(rng.random() * len(ends))])
+        ends += sorted(targets) + [t] * m
+        edges += [(s, t) for s in targets]
+    u, v = zip(*edges)
+    return _build_graph(n, u, v)
 
 
 def relabel(g: Graph, mapping: Sequence[int]) -> Graph:

@@ -28,14 +28,14 @@ OUTPUTS = (
 
 GOLDEN = {
     "manifest.csv": "73fe63623a20605f100f183ce96e2e107c56e9ab5374675224be9db3fd50bb5e",
-    "graphs/*.edges": "e43ea025158a774a5506b18ba5bd9c0129fc06512b50282a8f87a3be251d006c",
-    "features.csv": "7baf8390204af84e49b5f8fc3c8d93e5659fcf24389c6299c31f5357a7f48864",
-    "model.json": "7bff531c4ae7a134123d97e7556a221f1dd0b4fae21c965264db11ecaea03d8d",
+    "graphs/*.edges": "ae83e02f7e752f131a8de443d3084ecdc165369da5589b84933b9bc3fefcdf4c",
+    "features.csv": "0f662f236fd9269008c432680f34ecb4b07eb37597cb644890ba241b843e6fd5",
+    "model.json": "85bc2130c65881924b31bd7edacb8856f96dd54ec6580850e15abb6f9506ddfc",
     "pred.csv": "bc5f357f6c476b8cd93891fa610e0ca435218a07e52a95605adf1b144480211e",
-    "reports/confusion.csv": "122cca701d09786d9216d68230b6f1f2d70e0363fd6fd0540c16bf7818c068c1",
-    "reports/confusion.txt": "d7f9bfdd9d051b3dbf8d44028d03d2dd6cf1ab3a579c34648d1775d25e68e78a",
-    "reports/misclassified.csv": "e636aa91209196f364bcfda749ba49ccbbe556cc2e9ba00f7cc6ef47b9582f22",
-    "embed.csv": "df7dbe40cd3ae2fca59f5d7f0b41f730137ce84cd4b9f28fe2c7c70a7cc4a3f1",
+    "reports/confusion.csv": "b357a5aada45c04015fd563c55f8724a63b804feeb309234c216203e6fd730a0",
+    "reports/confusion.txt": "aa3260944e72c034885ab6f26725862601382f8210c93ecd99c2cc3acb94163e",
+    "reports/misclassified.csv": "5bd216848727dca453c2f1e843206c93f2ec5fb03b3618e264e9d049fd906a9b",
+    "embed.csv": "9425fcf76cc9bc3773cee31c2b6db7be499ad5f4114cbf231c53198dcaad4c5b",
     "clusters.csv": "01625c3ff015783c15f0d2fd7d062ff170ed2b47c6c46dff1991199adf29d2c3",
     "overlap.txt": "60c76bf1e05e34160122757413c3b5448abfe50851d893362e881f69262949d4",
 }
@@ -44,16 +44,16 @@ GOLDEN = {
 # README quick start run on it.
 STOCK_GOLDEN = {
     "manifest.csv": "7d3963a14a391628c970b9c18e3f1ef991a1534d4ddb506fb0016534ff1e9e03",
-    "graphs/*.edges": "93a5284a33dc06f7c62ffb2d72dfbd021431217c94920ea7579fece0263ab518",
-    "features.csv": "1a61aed90ceb047db8f6059fc958404c51958fa9439a0af1206b7faffc4f0ff0",
-    "model.json": "e3e243d7b4ef208785a67491626e4ab0769c435b500df8b15766b85a00b0d7cb",
-    "pred.csv": "3bc2e35e551bbf87cab26926e11b398ba984470b619aafbc50b387cf9f81a196",
-    "reports/confusion.csv": "def18a0cdbf48ccfc5051605298c0a68d26a28ddd822924b49f596220f580db1",
-    "reports/confusion.txt": "0974612911ab91d6789b907526be39ebfc9548895090b5bbda90de8b2dde2195",
-    "reports/misclassified.csv": "319dea07dd0028473bdb0485043de1f4928c92d6290d7c4b71f212cf65b63982",
-    "embed.csv": "5f4bbce21e191e572bc4bd3da063f39527e4fa30146244fef6bea45f87b6e07d",
-    "clusters.csv": "466960645998911708d163d93ef18c0a7043ebc9d50c6c93d094494e46c0df20",
-    "overlap.txt": "51374520678fb34f47266d6f84ef3849ec1da2693c334dc157c258cc29251503",
+    "graphs/*.edges": "9fdf7bcc79e909cf969047375bd5ac085b7db66ee5190b1ecaefa9702f31853e",
+    "features.csv": "8254ff9ee109e16fc71fbf28dd2cdb099563544f7c2206a76eef46c0d58d461e",
+    "model.json": "180a1b804243994b24534cb5d54c27ee7ddca25f41192a1e903d27c0cf86c6f6",
+    "pred.csv": "7114ad399351135426d4cddfd4780f595b244101b1bcd1d20e79a474af26ff42",
+    "reports/confusion.csv": "54e6e7ff97a4cacd7ce9ab1be22f8f45602ac30a85458ee801b4b4c07c7b470a",
+    "reports/confusion.txt": "d988049d71a819539a308b2680526da1438538d0b44a4f191689bb857637e6a8",
+    "reports/misclassified.csv": "517469b3af3b454708e83531be0d977b570cfca9944e6bed2e6f1a0f0cdf2959",
+    "embed.csv": "d143cdff7930323d28fd8f57d5832b6e3fae3c3895e6442aaf5d8eb94fd02ff8",
+    "clusters.csv": "06cc5e6d28015b79eddad0b572e9e58d8da044daacca2a6afbc2d75723dbeaad",
+    "overlap.txt": "a3aaa7986026acfd19409f55fd2513d05f44e68b3569a905cbb1dd4437328c04",
 }
 
 
@@ -95,7 +95,7 @@ def test_stock_corpus_matches_golden_digests(tmp_path, monkeypatch):
 
 # barabasi_albert(15000, 10, 7), the shape of the benchmark's scale graph:
 # sha256 of its edge arrays (u, then v) as little-endian int64.
-BA_SCALE_GOLDEN = "9e7db3a6de78c8b99e19fd86f8591f41f86e1a02a1770ce06d10cb6bf10a197c"
+BA_SCALE_GOLDEN = "d4c8058ddf29d56f27fa27599bed54cadc0d747697ec1a3485a26adae6b59712"
 
 
 def test_scale_shaped_barabasi_albert_matches_golden_digest():

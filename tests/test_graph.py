@@ -54,6 +54,16 @@ class TestEdgeListParsing:
         assert g.node_count == 3
         assert m[0] == "alice"
 
+    @pytest.mark.parametrize("text,labels", [
+        ("1_000 5\n1000 6\n", ["1_000", 5, 1000, 6]),
+        ("\u0661 2\n1 3\n", ["\u0661", 2, 1, 3]),  # ARABIC-INDIC DIGIT ONE
+        ("+5 2\n5 3\n-1 2\n", [5, 2, 3, -1]),
+    ])
+    def test_only_ascii_digits_make_integer_labels(self, text, labels):
+        g, m = parse_edge_list(text)
+        assert m == labels
+        assert g.node_count == len(labels)
+
     def test_bad_token_count_reports_line(self):
         with pytest.raises(GraphParseError, match="line 2"):
             parse_edge_list("1 2\n3 4 5 6\n")
@@ -216,6 +226,15 @@ class TestMatrixMarket:
     def test_out_of_range_index_reports_line(self):
         with pytest.raises(GraphParseError, match="line 3.*outside"):
             parse_matrix_market(self.HEADER + "3 3 1\n1 4\n")
+
+    @pytest.mark.parametrize("entry", ["1_0 2", "\u0661 2", "1 \uff12"])
+    def test_non_ascii_integer_index_rejected(self, entry):
+        with pytest.raises(GraphParseError, match="line 3: non-integer index"):
+            parse_matrix_market(self.HEADER + f"12 12 1\n{entry}\n")
+
+    def test_non_ascii_integer_dimension_rejected(self):
+        with pytest.raises(GraphParseError, match="line 2: non-integer dimensions"):
+            parse_matrix_market(self.HEADER + "1_0 10 0\n")
 
     def test_wrong_token_count_for_field(self):
         with pytest.raises(GraphParseError, match="expected 2 tokens"):

@@ -71,6 +71,15 @@ class TestDeterminismAndEdgeCases:
         assert np.isfinite(result.inertia)
         assert set(result.assignments) == {0, 1, 2}
 
+    def test_reseat_never_empties_a_singleton_cluster(self):
+        # Every point is at distance 0, so the farthest point is the first
+        # one, the only member of its cluster after the first reseat; moving
+        # it would empty that cluster and make its mean NaN.
+        result = kmeans(np.zeros((6, 2)), 3, seed=1)
+        assert result.inertia == 0.0
+        assert set(result.assignments) == {0, 1, 2}
+        assert all(trace == (0.0, 0.0) for trace in result.restart_traces)
+
     def test_coincident_points(self):
         result = kmeans(np.zeros((2, 1)), 2, seed=0)
         assert result.inertia == 0.0

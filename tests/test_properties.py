@@ -11,16 +11,18 @@ gains and cuts that do not exist are common; trees grown together, in
 chunks of a few rows, are compared with the reference one tree at a time; a
 forest's thresholds on a linear column scale with it by powers of two.  Matrix Market
 texts use every line end that str.splitlines knows and are compared with a
-copy of the earlier reader.
+copy of the earlier reader that reads only ASCII digits as integers.
 Fold arrays are compared with the earlier list-of-folds deal.
-Barabási–Albert graphs are compared with the loop that recomputes the
-degree prefix per node and draws one target at a time.  t-SNE runs, in
+Barabási–Albert graphs are compared with a loop that picks one target at a
+time from a list of every edge end so far.  t-SNE runs, in
 blocks of 1, 7 or the module's own count of rows, are compared byte for
 byte with a loop that computes the KL and gradient in full N x N arrays on
 every step.  The t-SNE affinities, calibrated for all rows in lockstep, are
 compared byte for byte with rows bisected one at a time, on tables that
 sometimes hold a row far from the others, whose affinities only the shift by
 its nearest distance keeps from underflowing.
+k-means runs on tables whose rows are copies of a few points, with up to
+one cluster per row, so reseating an emptied cluster is common.
 """
 
 import importlib
@@ -39,6 +41,7 @@ from netclass import (  # noqa: E402
     ForestParams,
     extract_features,
     forest_train,
+    kmeans,
     parse_edge_list,
 )
 from netclass.evaluate import stratified_kfold  # noqa: E402
@@ -313,7 +316,7 @@ def ba_cases(draw):
 
 @PROPERTY
 @given(ba_cases())
-@example((2, 1, 0))  # the one uniform draw: every degree is zero
+@example((2, 1, 0))  # no draw: node 1 attaches to node 0
 @example((40, 1, 3))
 @example((40, 39, 5))  # one new node takes every node: heavy rejection
 @example((300, 299, 11))
@@ -357,14 +360,15 @@ def matrix_market_texts(draw):
         entries.append(draw(st.sampled_from(["", " "] if loose else [""])) + " ".join(tokens))
     if fault == "entry":
         bad = draw(st.sampled_from(["0 1", f"{n + 1} 1", "x 1", "+1 1", "1", "1 2 3 4",
-                                    "-1 1", "1\t1", "007 1 1"]))
+                                    "-1 1", "1\t1", "007 1 1", "1_0 1",
+                                    "\u0661 1"]))
         entries.insert(draw(st.integers(0, len(entries))), bad)
     if loose:
         entries.insert(draw(st.integers(0, len(entries))), "".join(draw(filler)))
     nnz = sum(1 for e in entries if e.strip() and not e.lstrip().startswith("%"))
     dims = pick(["{0} {0} {1}", "{0}  {0} {1}", " {0} {0} {1}", "{0}\t{0}\t{1} "],
                 ["{0} {0}", "{0} {0} {1} 1", "{0} {0}x {1}", "{0} 9 {1}",
-                 "-{0} -{0} {1}", "{0} {0} {2}"],
+                 "-{0} -{0} {1}", "{0} {0} {2}", "{0}_0 {0}_0 {1}"],
                 "dims").format(n, nnz, nnz + 1)
     end = draw(st.sampled_from(LINE_ENDS))
     text = end.join([banner, *draw(filler), dims, *entries])
@@ -460,3 +464,26 @@ def test_lockstep_affinities_match_rows_bisected_alone(case):
     ref_p, ref_entropies = oracles.conditional_affinities_reference(d2, perplexity)
     assert p_cond.tobytes() == ref_p.tobytes()
     assert entropies.tobytes() == ref_entropies.tobytes()
+
+
+@st.composite
+def few_point_tables(draw):
+    d = draw(st.integers(1, 3))
+    points = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                           min_size=1, max_size=3))
+    rows = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=12))
+    x = np.array([points[i] for i in rows], dtype=np.float64)
+    return x, draw(st.integers(1, len(x))), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(few_point_tables())
+@example((np.zeros((6, 2)), 3, 1))
+@example((np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]]), 4, 0))
+def test_kmeans_keeps_every_cluster_on_repeated_rows(case):
+    x, k, seed = case
+    result = kmeans(x, k, restarts=3, seed=seed)
+    assert sorted(set(result.assignments.tolist())) == list(range(k))
+    for trace in result.restart_traces:
+        assert np.isfinite(trace).all()
+        assert all(late <= early for early, late in zip(trace, trace[1:]))

@@ -91,6 +91,14 @@ class TestBarabasiAlbert:
         g = barabasi_albert(2000, 3, seed=12)
         assert max(g.degrees()) > 30
 
+    def test_targets_drawn_in_proportion_to_degree(self):
+        # Node 2 attaches to node 0 or 1, so node 3 meets degrees (2, 1, 1)
+        # or (1, 2, 1), each half the time, and picks nodes 0, 1 and 2 with
+        # chances 3/8, 3/8 and 1/4.  A uniform pick would give 1/3 each.
+        picks = [barabasi_albert(4, 1, seed).neighbors(3)[0] for seed in range(4000)]
+        freq = np.bincount(picks, minlength=3) / len(picks)
+        np.testing.assert_allclose(freq, [3 / 8, 3 / 8, 1 / 4], atol=0.03)
+
     def test_deterministic_per_seed(self):
         assert barabasi_albert(60, 4, seed=2) == barabasi_albert(60, 4, seed=2)
         assert barabasi_albert(60, 4, seed=2) != barabasi_albert(60, 4, seed=3)
