@@ -5,8 +5,10 @@ an output path that cannot be written, or not enough memory), 2 partial
 data failure (some graphs failed, one too large for memory included, but
 output was written for the rest), 3 internal error.  All file outputs are
 written atomically (temp file + rename) and are byte-identical for a given
-seed.  Every command runs serially in one process; --workers is accepted
-and checked (it must be at least 1) but currently has no effect.
+seed.  --workers N (at least 1) parallelizes the per-graph parse and
+feature extraction of `features` and `predict` only, over at most one
+forked process per CPU and per graph; every other command runs serially.
+The bytes are the same at any N.
 
 This module only parses and merges settings.  Each setting's range is
 checked by the library step that uses it (the forest, the folds,
@@ -221,23 +223,56 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     return rows
 
 
-def _extract_all(paths: list[str]):
-    """Parse each graph file (.mtx is Matrix Market, anything else an edge
-    list) and extract its features; one bad file never stops the batch.
+def _extract_one(path: str):
+    """Parse one graph file (.mtx is Matrix Market, anything else an edge
+    list) and return its features, or a message naming path if it failed.
 
-    Returns two dicts keyed by index into paths: the features of each graph
-    that parsed, and a message naming the path once for each that did not.
     A graph too large for memory fails alone, like a malformed one.
     """
-    done, failures = {}, {}
-    for i, path in enumerate(paths):
-        parse = parse_matrix_market if path.lower().endswith(".mtx") else parse_edge_list
+    parse = parse_matrix_market if path.lower().endswith(".mtx") else parse_edge_list
+    try:
+        return _parse_file(path, lambda text: extract_features(parse(text)[0]))
+    except ValueError as exc:
+        return str(exc)
+    except MemoryError as exc:
+        return f"{path}: not enough memory: {exc}"
+
+
+def _extract_all(paths: list[str], workers: int):
+    """Run _extract_one over paths; one bad file never stops the batch.
+
+    Each graph depends only on its own file, so the graphs are spread over
+    min(workers, CPUs, graphs) forked processes when that is more than one.
+    Results come back in path order either way, so no byte depends on the
+    worker count.
+
+    Returns two dicts keyed by index into paths: the features of each graph
+    that parsed, and the message of each that did not.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    w = min(workers, len(paths), cpus or 1)
+    if w > 1:
+        # Imported here: at module top they would slow every command's start.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork, not spawn: a spawned worker imports numpy again, which costs
+        # about a fifth more CPU.  With fork the pool starts every worker
+        # before any thread of its own.
         try:
-            done[i] = _parse_file(path, lambda text: extract_features(parse(text)[0]))
-        except ValueError as exc:
-            failures[i] = str(exc)
-        except MemoryError as exc:
-            failures[i] = f"{path}: not enough memory: {exc}"
+            with ProcessPoolExecutor(w, mp_context=multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(_extract_one, paths))
+        except BrokenProcessPool:
+            raise ValueError("a worker process died, possibly for lack of memory") from None
+    else:
+        results = map(_extract_one, paths)
+    done, failures = {}, {}
+    for i, result in enumerate(results):
+        if isinstance(result, str):
+            failures[i] = result
+        else:
+            done[i] = result
     return done, failures
 
 
@@ -272,7 +307,7 @@ def _forest_params(cfg: RunConfig) -> ForestParams:
 
 def cmd_features(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = read_manifest(args.manifest)
-    done, failures = _extract_all([graph_path for graph_path, _, _ in rows])
+    done, failures = _extract_all([graph_path for graph_path, _, _ in rows], cfg.workers)
     out = io.StringIO()
     write_features_csv(out, [(rows[i][1], rows[i][2], fv) for i, fv in done.items()])
     atomic_write(args.out, out.getvalue())
@@ -327,7 +362,7 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
         return forest
 
     forest = _parse_file(args.model, read_model)
-    done, failures = _extract_all(args.graphs)
+    done, failures = _extract_all(args.graphs, cfg.workers)
     matrix = np.array([fv.as_array() for fv in done.values()])
     labels, votes = forest_predict(forest, matrix.reshape(len(done), len(FEATURE_NAMES)))
     text = csv_text(["path", "predicted"] + [f"votes_{s}" for s in forest.label_names], (
@@ -429,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value settings file")
     common.add_argument("--seed", type=int, help="master seed (default 42)")
     common.add_argument("--workers", type=int,
-                        help="must be at least 1; no effect (commands run serially)")
+                        help="processes for the per-graph work of features and predict "
+                             "(default 1; at most one per CPU and per graph; "
+                             "same bytes at any count)")
 
     forest_flags = argparse.ArgumentParser(add_help=False)
     forest_flags.add_argument("--trees", type=int, help="forest size (default 100)")

@@ -18,6 +18,7 @@ knows is first rewritten as "\n", so CRLF files take the numpy path too.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -222,6 +223,9 @@ def parse_edge_list(text: str) -> tuple[Graph, list]:
 
 _MM_FIELDS = ("pattern", "real", "integer")
 _MM_SYMMETRIES = ("general", "symmetric")
+# The value of a `real` entry: ASCII decimal digits with an optional sign,
+# point and exponent.
+_MM_REAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 # _build_graph keys an edge (lo, hi) as lo * n + hi in int64.
 MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
 
@@ -254,6 +258,8 @@ def parse_matrix_market(text: str) -> tuple[Graph, list]:
     """Parse the coordinate subset of the Matrix Market format.
 
     Accepts pattern/real/integer fields with general/symmetric symmetry.
+    Each value must be a literal of its field, an optional sign and ASCII
+    digits for `integer` and also a decimal point and exponent for `real`.
     Off-diagonal entries become undirected edges (values discarded), diagonal
     entries are dropped, and `general` matrices are symmetrized.  Unlike edge
     lists, the declared dimension is kept, so isolated nodes survive.
@@ -316,6 +322,10 @@ def parse_matrix_market(text: str) -> tuple[Graph, list]:
             raise GraphParseError(
                 f"line {lineno}: index ({i},{j}) outside declared range 1..{rows}"
             )
+        if fld == "integer" and _ascii_int(tokens[2]) is None:
+            raise GraphParseError(f"line {lineno}: non-integer value")
+        if fld == "real" and not _MM_REAL.fullmatch(tokens[2]):
+            raise GraphParseError(f"line {lineno}: non-real value")
         us.append(i)
         vs.append(j)
     return _mm_graph(rows, us, vs)

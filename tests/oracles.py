@@ -306,10 +306,18 @@ def _int(token):
     return int(token)
 
 
+def _real(token):
+    """float(token) for a decimal literal in ASCII; ValueError otherwise."""
+    if not set(token) <= set("0123456789+-.eE"):
+        raise ValueError(token)
+    return float(token)
+
+
 def parse_matrix_market(text):
     """The reference for graph.parse_matrix_market: an earlier release's line
     path, which produced every result and message its numpy path did not,
-    with integers read as an optional sign and ASCII digits.
+    with integers read as an optional sign and ASCII digits and each value
+    checked against its field.
 
     Returns (node count, sorted (u, v) edges with u < v, label list), or
     raises ValueError with the package's message.
@@ -369,6 +377,11 @@ def parse_matrix_market(text):
             raise ValueError(
                 f"line {lineno}: index ({i},{j}) outside declared range 1..{rows}"
             )
+        if fld != "pattern":
+            try:
+                (_int if fld == "integer" else _real)(tokens[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-{fld} value") from None
         if i != j:
             edges.add((min(i, j) - 1, max(i, j) - 1))
     return rows, sorted(edges), list(range(1, rows + 1))

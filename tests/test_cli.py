@@ -1,14 +1,20 @@
 """End-to-end command-line behaviour, run in process through main()."""
 
 import csv
+import functools
 import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+import netclass.cli as cli_module
 from netclass.cli import SEED_ENV_VAR, main
 from netclass.features import CSV_HEADER, FEATURE_NAMES, read_features_csv
 
@@ -45,6 +51,30 @@ p_max = 0.25
 def read(path):
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+# With one CPU, --workers 2 runs in this process and no pool is started.
+needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                    reason="needs two CPUs for a worker pool")
+
+# The pool pickles the function it maps by name, so the stand-ins for
+# cli._extract_one below live at module level and call the real one.
+_extract_one = cli_module._extract_one
+
+
+def _extract_noting_pid(directory, path):
+    """_extract_one, leaving a file named for the process that ran it."""
+    (directory / f"{os.getpid()}-{os.path.basename(path)}").touch()
+    time.sleep(0.05)  # long enough that an idle worker takes the next graph
+    return _extract_one(path)
+
+
+def _extract_dying_on(parent, doomed, path):
+    """_extract_one, except that a worker handed `doomed` dies at once (the
+    parent never does, so a pool gone serial fails the test, not the run)."""
+    if path == doomed and os.getpid() != parent:
+        os._exit(9)
+    return _extract_one(path)
 
 
 @pytest.fixture(scope="module")
@@ -417,8 +447,6 @@ class TestGenerate:
         assert "cannot read" in capsys.readouterr().err
 
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
-        import netclass.cli as cli_module
-
         # Stands in for a spec whose graphs are too large for this machine.
         def exhausted(specs):
             raise MemoryError("Unable to allocate 7.45 GiB for an array")
@@ -451,19 +479,67 @@ class TestFeatures:
 
     def test_partial_failure_keeps_good_rows(self, tmp_path, corpus, capsys):
         manifest = tmp_path / "m.csv"
-        good = corpus["graphs"] / "ba_0000.edges"
+        graphs = corpus["graphs"]
         manifest.write_text(
             "path,name,category\n"
-            f"{good},ok,BA\n"
-            f"{tmp_path / 'missing.edges'},gone,ER\n",
+            f"{graphs / 'ba_0000.edges'},ok,BA\n"
+            f"{tmp_path / 'missing.edges'},gone,ER\n"
+            f"{graphs / 'er_0006.edges'},ok2,ER\n"
+            f"{tmp_path / 'absent.edges'},lost,BA\n",
             encoding="utf-8",
         )
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"f{workers}.csv"
+            assert main(["features", str(manifest), "--out", str(out),
+                         "--workers", workers]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert [line.split(":")[1] for line in err] == [" gone", " lost"]
+            runs.append((read(out), err))
+        names, _, _ = read_features_csv(io.StringIO(runs[0][0]))
+        assert names == ["ok", "ok2"]
+        assert runs[0] == runs[1]
+
+    @needs_two_cpus
+    def test_workers_run_in_separate_processes(self, tmp_path, corpus, monkeypatch):
+        seen = tmp_path / "seen"
+        seen.mkdir()
+        monkeypatch.setattr(cli_module, "_extract_one",
+                            functools.partial(_extract_noting_pid, seen))
         out = tmp_path / "f.csv"
-        assert main(["features", str(manifest), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "gone" in err
-        names, _, _ = read_features_csv(io.StringIO(read(out)))
-        assert names == ["ok"]
+        assert main(["features", str(corpus["graphs"] / "manifest.csv"),
+                     "--out", str(out), "--workers", "2"]) == 0
+        calls = [name.split("-", 1) for name in os.listdir(seen)]
+        pids = {int(pid) for pid, _ in calls}
+        assert len(calls) == 12
+        assert len(pids) >= 2 and os.getpid() not in pids
+        assert read(out) == read(corpus["features"])
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_dead_worker_exits_1(self, tmp_path, corpus, capsys, monkeypatch):
+        # Stands in for a worker the OOM killer ends.
+        monkeypatch.setattr(cli_module, "_extract_one", functools.partial(
+            _extract_dying_on, os.getpid(), str(corpus["graphs"] / "er_0007.edges")))
+        out = tmp_path / "f.csv"
+        started = time.monotonic()
+        assert main(["features", str(corpus["graphs"] / "manifest.csv"),
+                     "--out", str(out), "--workers", "2"]) == 1
+        assert time.monotonic() - started < 30
+        assert "error: a worker process died" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_import_loads_no_pool_modules(self):
+        # Every command pays for what importing the CLI loads.
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, netclass.cli; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+            env=env, check=True, capture_output=True, text=True).stdout
+        assert loaded == "[]\n"
 
     @pytest.mark.parametrize("command", ["features", "predict"])
     def test_oversized_matrix_market_fails_one_graph(self, tmp_path, corpus, capsys, command):
@@ -509,8 +585,6 @@ class TestFeatures:
     @pytest.mark.parametrize("command", ["features", "predict"])
     def test_out_of_memory_graph_fails_alone(self, tmp_path, corpus, capsys, monkeypatch,
                                              command):
-        import netclass.cli as cli_module
-
         good = corpus["graphs"] / "ba_0000.edges"
         huge = tmp_path / "huge.edges"
         huge.write_text("0 1\n", encoding="utf-8")
@@ -723,8 +797,6 @@ class TestTrainPredict:
             f"error: {bad}: the model takes 16 features, but a graph gives 15"]
 
     def test_internal_errors_map_to_3(self, tmp_path, corpus, capsys, monkeypatch):
-        import netclass.cli as cli_module
-
         def boom(*args, **kwargs):
             raise RuntimeError("wires crossed")
 

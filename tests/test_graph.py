@@ -236,6 +236,26 @@ class TestMatrixMarket:
         with pytest.raises(GraphParseError, match="line 2: non-integer dimensions"):
             parse_matrix_market(self.HEADER + "1_0 10 0\n")
 
+    @pytest.mark.parametrize("fld, value, message", [
+        ("real", "abc", "non-real value"),
+        ("real", "1_0", "non-real value"),
+        ("real", "inf", "non-real value"),
+        ("integer", "0.5", "non-integer value"),
+        ("integer", "١", "non-integer value"),
+    ])
+    def test_value_not_of_its_field_rejected(self, fld, value, message):
+        text = f"%%MatrixMarket matrix coordinate {fld} general\n2 2 1\n1 2 {value}\n"
+        with pytest.raises(GraphParseError, match=f"line 3: {message}"):
+            parse_matrix_market(text)
+
+    @pytest.mark.parametrize("fld, value", [
+        ("real", "-2"), ("real", "1.5e3"), ("real", ".5"), ("real", "5."),
+        ("real", "+1E-3"), ("integer", "-2"), ("integer", "+7"),
+    ])
+    def test_value_of_its_field_accepted(self, fld, value):
+        text = f"%%MatrixMarket matrix coordinate {fld} general\n2 2 1\n1 2 {value}\n"
+        assert parse_matrix_market(text)[0].edge_count == 1
+
     def test_wrong_token_count_for_field(self):
         with pytest.raises(GraphParseError, match="expected 2 tokens"):
             parse_matrix_market(self.HEADER + "3 3 1\n1 2 0.5\n")

@@ -351,7 +351,7 @@ def matrix_market_texts(draw):
     filler = st.lists(st.sampled_from(["% note", "", "  ", " % indented", "%"]), max_size=2)
     n = draw(st.integers(1, 5))
     width = 2 if fld == "pattern" else 3
-    values = ["3", "0.5", "-2e3"] if fld == "real" else ["3", "0", "12"]
+    values = ["3", "0.5", "-2e3", ".5", "1.E+3"] if fld == "real" else ["3", "0", "12", "-2"]
     loose = draw(st.booleans())  # a leading space or a comment among the entries
     entries = []
     for _ in range(draw(st.integers(0, 6))):
@@ -361,7 +361,7 @@ def matrix_market_texts(draw):
     if fault == "entry":
         bad = draw(st.sampled_from(["0 1", f"{n + 1} 1", "x 1", "+1 1", "1", "1 2 3 4",
                                     "-1 1", "1\t1", "007 1 1", "1_0 1",
-                                    "\u0661 1"]))
+                                    "\u0661 1", "1 1 abc", "1 1 0.5", "1 1 1_0"]))
         entries.insert(draw(st.integers(0, len(entries))), bad)
     if loose:
         entries.insert(draw(st.integers(0, len(entries))), "".join(draw(filler)))
