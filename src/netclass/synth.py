@@ -1,5 +1,10 @@
 """Erdős–Rényi and Barabási–Albert generators plus corpus assembly.
 
+Both generators follow Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005)
+and take O(n + m) time and memory: Erdős–Rényi jumps from one kept node
+pair to the next by geometric skips, and Barabási–Albert picks each target
+from the array of every edge end so far.
+
 Randomness follows the package seeding contract: graph index i under a
 spec's master seed consumes derive_seed(master, 2*i) for its parameters and
 derive_seed(master, 2*i + 1) for its edges, so corpora are reproducible
@@ -22,17 +27,51 @@ FAMILIES = ("ER", "BA")
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """G(n, p): each of the C(n, 2) pairs kept independently with probability p."""
+    """G(n, p): each of the C(n, 2) pairs kept independently with probability p.
+
+    The pairs (i, j), i < j, are numbered k = 0 .. C(n, 2) - 1 in row-major
+    order.  As in Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005), the
+    next kept pair lies a Geometric(p) gap after the last one, so the method
+    draws one number per edge (plus one) and takes O(n + m) time and memory.
+    p = 0 and p = 1 draw nothing.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    rng = make_rng(seed)
-    # One draw per pair (i, j), i < j, in row-major order, one row at a time,
-    # so memory stays O(n + m).  rows[i] holds row i's partners j > i.
-    rows = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
-    u = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-    return _build_graph(n, u, np.concatenate(rows) if rows else u)
+    pairs = n * (n - 1) // 2
+    if p == 1.0:
+        k = np.arange(pairs, dtype=np.int64)
+    elif p == 0.0 or pairs == 0:
+        k = np.zeros(0, dtype=np.int64)
+    else:
+        k = _skip_pairs(pairs, p, make_rng(seed))
+    lengths = np.arange(n - 1, 0, -1, dtype=np.int64)  # row i holds pairs (i, j > i)
+    offsets = np.cumsum(lengths) - lengths  # number of row i's first pair
+    u = np.searchsorted(offsets, k, side="right") - 1
+    return _build_graph(n, u, k - offsets[u] + u + 1)
+
+
+def _skip_pairs(pairs: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted numbers of the kept pairs among `pairs`, each kept with 0 < p < 1.
+
+    `Generator.geometric` runs numpy's scalar C sampler, so the gaps hold
+    their bits under every SIMD target numpy may dispatch to.
+    """
+    kept = []
+    last = -1  # number of the last kept pair
+    while last < pairs:
+        # Enough gaps, nearly always, to pass the end in one batch, but no
+        # more than can be summed in int64: each gap is clipped at the
+        # distance past the end, at most pairs + 1.  Batching moves no byte,
+        # since the gaps come from the stream in order either way.
+        mean = p * (pairs - 1 - last)
+        size = int(mean + 4.0 * math.sqrt(mean)) + 1
+        size = min(size, np.iinfo(np.int64).max // (pairs + 1))
+        k = np.cumsum(np.minimum(rng.geometric(p, size), pairs - last)) + last
+        kept.append(k[k < pairs])
+        last = int(k[-1])
+    return np.concatenate(kept)
 
 
 def barabasi_albert(n: int, m: int, seed: int) -> Graph:

@@ -527,6 +527,27 @@ def barabasi_albert_reference(n, m, seed):
     return _build_graph(n, u, v)
 
 
+def erdos_renyi_reference(n, p, seed):
+    """The reference for synth.erdos_renyi: a walk over the pairs (i, j),
+    i < j, in row-major order, one geometric gap at a time, carried from
+    the end of a row into the next.  p = 0 and p = 1 draw nothing."""
+    if p in (0.0, 1.0):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)] if p else []
+    else:
+        rng = np.random.default_rng(seed)
+        edges = []
+        i, j = 0, 0  # one before the first pair (0, 1)
+        while i < n - 1:
+            j += int(rng.geometric(p))
+            while i < n - 1 and j >= n:  # row i + 1 starts at column i + 2
+                j -= n - i - 2
+                i += 1
+            if i < n - 1:
+                edges.append((i, j))
+    u, v = zip(*edges) if edges else ((), ())
+    return _build_graph(n, u, v)
+
+
 def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     """Return the graph with node v renamed to mapping[v]."""
     if sorted(mapping) != list(range(g.node_count)):

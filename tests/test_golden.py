@@ -12,13 +12,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from test_acceptance import read, run_all_commands
 
 import netclass
 from netclass.cli import SEED_ENV_VAR, main
 from netclass.data import feature_log_flags
 from netclass.features import CSV_HEADER
-from netclass.synth import barabasi_albert
+from netclass.synth import barabasi_albert, erdos_renyi
 
 OUTPUTS = (
     "manifest.csv", "graphs/*.edges", "features.csv", "model.json", "pred.csv",
@@ -27,15 +28,15 @@ OUTPUTS = (
 )
 
 GOLDEN = {
-    "manifest.csv": "73fe63623a20605f100f183ce96e2e107c56e9ab5374675224be9db3fd50bb5e",
-    "graphs/*.edges": "ae83e02f7e752f131a8de443d3084ecdc165369da5589b84933b9bc3fefcdf4c",
-    "features.csv": "0f662f236fd9269008c432680f34ecb4b07eb37597cb644890ba241b843e6fd5",
-    "model.json": "85bc2130c65881924b31bd7edacb8856f96dd54ec6580850e15abb6f9506ddfc",
+    "manifest.csv": "49e62e4cb0b63ab4c07050bb720475b41210a0fed877772e472cb9662e11f6cd",
+    "graphs/*.edges": "e2bea05d1dace2b1a1f4ab03f25e8adcca609d46e7437faa67515417576b70e9",
+    "features.csv": "7008ddc8489988902d2d7c41b13e1be19fb106349a1804f09a453fdfd9955cb4",
+    "model.json": "3d26241da09586094934ade525331fee6a3b5106f3ac17c55a162c9120027e03",
     "pred.csv": "bc5f357f6c476b8cd93891fa610e0ca435218a07e52a95605adf1b144480211e",
-    "reports/confusion.csv": "b357a5aada45c04015fd563c55f8724a63b804feeb309234c216203e6fd730a0",
-    "reports/confusion.txt": "aa3260944e72c034885ab6f26725862601382f8210c93ecd99c2cc3acb94163e",
-    "reports/misclassified.csv": "5bd216848727dca453c2f1e843206c93f2ec5fb03b3618e264e9d049fd906a9b",
-    "embed.csv": "9425fcf76cc9bc3773cee31c2b6db7be499ad5f4114cbf231c53198dcaad4c5b",
+    "reports/confusion.csv": "16cc098c88ebf6488e960e157be412ccb1cf3362243ea86cf021d0926afcf9de",
+    "reports/confusion.txt": "09342840d31644cae081132ae3429614d04c728e11f32fb091b240a800bc1c38",
+    "reports/misclassified.csv": "af6e8ef16b49b94414c24991eab628366ae32044d119a2fec14f168696dcbe5e",
+    "embed.csv": "ab9c559cb4a6ef4d3daf6a137752c34d22159f1a7f644d16f5c3e014642a4444",
     "clusters.csv": "01625c3ff015783c15f0d2fd7d062ff170ed2b47c6c46dff1991199adf29d2c3",
     "overlap.txt": "60c76bf1e05e34160122757413c3b5448abfe50851d893362e881f69262949d4",
 }
@@ -43,17 +44,17 @@ GOLDEN = {
 # The stock 125-graph corpus (no spec file), seed 7, and every output of the
 # README quick start run on it.
 STOCK_GOLDEN = {
-    "manifest.csv": "7d3963a14a391628c970b9c18e3f1ef991a1534d4ddb506fb0016534ff1e9e03",
-    "graphs/*.edges": "9fdf7bcc79e909cf969047375bd5ac085b7db66ee5190b1ecaefa9702f31853e",
-    "features.csv": "8254ff9ee109e16fc71fbf28dd2cdb099563544f7c2206a76eef46c0d58d461e",
-    "model.json": "180a1b804243994b24534cb5d54c27ee7ddca25f41192a1e903d27c0cf86c6f6",
-    "pred.csv": "7114ad399351135426d4cddfd4780f595b244101b1bcd1d20e79a474af26ff42",
-    "reports/confusion.csv": "54e6e7ff97a4cacd7ce9ab1be22f8f45602ac30a85458ee801b4b4c07c7b470a",
-    "reports/confusion.txt": "d988049d71a819539a308b2680526da1438538d0b44a4f191689bb857637e6a8",
-    "reports/misclassified.csv": "517469b3af3b454708e83531be0d977b570cfca9944e6bed2e6f1a0f0cdf2959",
-    "embed.csv": "d143cdff7930323d28fd8f57d5832b6e3fae3c3895e6442aaf5d8eb94fd02ff8",
-    "clusters.csv": "06cc5e6d28015b79eddad0b572e9e58d8da044daacca2a6afbc2d75723dbeaad",
-    "overlap.txt": "a3aaa7986026acfd19409f55fd2513d05f44e68b3569a905cbb1dd4437328c04",
+    "manifest.csv": "8c7d4a572cdec9dc14fa9f956a086d6728a441101ff8193cfbd4dd628b51d0a8",
+    "graphs/*.edges": "2cb7c0530eea4a6aaeaf4835e901da45abb4e018203707bc374ff043367cc8ba",
+    "features.csv": "bbe97f1f9d4fccf225f83e22799c7b413c50604d80f4a911d6a3cdb60a794d8b",
+    "model.json": "cd5a2663915ce48d91e12f382876439c914cd750b9072497e46fd0215c26a6a9",
+    "pred.csv": "e95d60f7193206b2cc40a4a7e23eead1dbd19dd4bbd452e02152f325d42a2f01",
+    "reports/confusion.csv": "93e7c6ba79b5ca597832d8dde1f89ea34e61a36fe93980deb7ac8cdfeb36bdfd",
+    "reports/confusion.txt": "b0b8132ebeaf5f2b04672bdc966b0d5d0b72df5344861da42559fff18c6b65d6",
+    "reports/misclassified.csv": "2379a7cf9ebceefd3e67b78abe968b7515232e1803a1463f51991a8639e6d70b",
+    "embed.csv": "77cbabeb7cc307de541e0789c63335742712953f1171d9a78b46d15fbe9e5bb2",
+    "clusters.csv": "d80a4acbf4b2cc0637615b0e0be43bdf6d825ded549be108c96bb24639f98b8d",
+    "overlap.txt": "41579f0162e975b12aa411583f9e91582e36b9bca8f6705b08b43aca4767b51a",
 }
 
 
@@ -93,15 +94,50 @@ def test_stock_corpus_matches_golden_digests(tmp_path, monkeypatch):
     assert got == STOCK_GOLDEN
 
 
-# barabasi_albert(15000, 10, 7), the shape of the benchmark's scale graph:
-# sha256 of its edge arrays (u, then v) as little-endian int64.
+# barabasi_albert(15000, 10, 7) and erdos_renyi(15000, 10/14999, 7), the
+# shapes of the benchmark's scale graphs: sha256 of their edge arrays (u,
+# then v) as little-endian int64.
 BA_SCALE_GOLDEN = "d4c8058ddf29d56f27fa27599bed54cadc0d747697ec1a3485a26adae6b59712"
+ER_SCALE_GOLDEN = "d25c25f263df20ad3085c28284796cfbecd08b15a9d7164763fc23dc158b757a"
+
+# Prints the two scale digests, BA then ER, and the SIMD targets still on.
+SCALE_DIGESTS = """
+import hashlib
+import numpy as np
+import numpy._core._multiarray_umath as umath
+from netclass.synth import barabasi_albert, erdos_renyi
+for g in (barabasi_albert(15000, 10, 7), erdos_renyi(15000, 10 / 14999, 7)):
+    print(hashlib.sha256(np.stack(g.edge_arrays()).astype("<i8").tobytes()).hexdigest())
+print(" ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)))
+"""
+
+
+def edge_digest(g):
+    return hashlib.sha256(np.stack(g.edge_arrays()).astype("<i8").tobytes()).hexdigest()
 
 
 def test_scale_shaped_barabasi_albert_matches_golden_digest():
-    g = barabasi_albert(15000, 10, 7)
-    edges = np.stack(g.edge_arrays()).astype("<i8")
-    assert hashlib.sha256(edges.tobytes()).hexdigest() == BA_SCALE_GOLDEN
+    assert edge_digest(barabasi_albert(15000, 10, 7)) == BA_SCALE_GOLDEN
+
+
+def test_scale_shaped_erdos_renyi_matches_golden_digest():
+    assert edge_digest(erdos_renyi(15000, 10 / 14999, 7)) == ER_SCALE_GOLDEN
+
+
+def test_generators_hold_their_bytes_without_simd_dispatch():
+    """With every SIMD target above numpy's baseline switched off, both
+    generators give the pinned bytes.  The variable is read when numpy
+    loads, so the run is a fresh process."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to nothing above its baseline on this CPU")
+    src = str(Path(netclass.__file__).resolve().parent.parent)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SCALE_DIGESTS], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == [BA_SCALE_GOLDEN, ER_SCALE_GOLDEN, ""]
 
 
 # The 500-row, 4-class table of multiclass_csv(), seed 7.

@@ -59,7 +59,7 @@ from netclass.graph import (  # noqa: E402
     parse_matrix_market,
     write_edge_list,
 )
-from netclass.synth import barabasi_albert  # noqa: E402
+from netclass.synth import barabasi_albert, erdos_renyi  # noqa: E402
 from netclass.tsne import (  # noqa: E402
     _pairwise_sq_dists,
     conditional_affinities,
@@ -322,6 +322,23 @@ def ba_cases(draw):
 @example((300, 299, 11))
 def test_barabasi_albert_matches_reference_loop(case):
     assert barabasi_albert(*case) == oracles.barabasi_albert_reference(*case)
+
+
+@st.composite
+def er_cases(draw):
+    n = draw(st.integers(0, 60))
+    p = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([1 / 3, 1 - 1e-16, 1e-300])))
+    return n, p, draw(st.integers(0, 2**64 - 1))
+
+
+@PROPERTY
+@given(er_cases())
+@example((60, 5e-324, 1))  # every gap saturates at the int64 maximum
+@example((2, 0.5, 3))
+@example((60, 0.0, 0))
+@example((60, 1.0, 0))
+def test_erdos_renyi_matches_reference_walk(case):
+    assert erdos_renyi(*case) == oracles.erdos_renyi_reference(*case)
 
 
 # Every line end str.splitlines knows; "\r\n" counts as one.

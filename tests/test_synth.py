@@ -1,5 +1,6 @@
 """Synthetic graph generators and corpus assembly."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,19 @@ from netclass.synth import (
 class TestErdosRenyi:
     def test_extreme_probabilities(self):
         assert erdos_renyi(8, 0.0, seed=1).edge_count == 0
-        assert erdos_renyi(8, 1.0, seed=1).edge_count == 28
+        assert list(erdos_renyi(8, 1.0, seed=1).edges()) == [
+            (i, j) for i in range(8) for j in range(i + 1, 8)]
+        # A gap above 1 has chance 1e-16 per pair, so no pair is skipped.
+        assert erdos_renyi(300, 1 - 1e-16, seed=1).edge_count == 300 * 299 // 2
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300])
+    def test_tiny_probability_keeps_no_pair(self, p):
+        # Every gap saturates far past the last of the 5e9 pairs.  A gap
+        # clipped at C(n, 2) instead of C(n, 2) + 1 would keep the last
+        # pair (n - 2, n - 1); one draw per pair would take 5e9 draws.
+        start = time.process_time()
+        assert erdos_renyi(10**5, p, seed=3).edge_count == 0
+        assert time.process_time() - start < 1.0
 
     def test_simple_graph_invariants(self):
         g = erdos_renyi(40, 0.3, seed=5)
@@ -48,6 +61,30 @@ class TestErdosRenyi:
     def test_tiny_graphs(self):
         assert erdos_renyi(0, 0.5, seed=0).node_count == 0
         assert erdos_renyi(1, 1.0, seed=0).edge_count == 0
+        assert erdos_renyi(1, 0.5, seed=0).edge_count == 0
+        assert list(erdos_renyi(2, 1.0, seed=0).edges()) == [(0, 1)]
+        assert erdos_renyi(2, 0.0, seed=0).edge_count == 0
+        assert {erdos_renyi(2, 0.5, seed=s).edge_count for s in range(20)} == {0, 1}
+
+    @pytest.mark.parametrize("p", [0.2, 0.6])
+    def test_each_pair_kept_with_probability_p(self, p):
+        # numpy's geometric sampler inverts below p = 1/3 and searches at or
+        # above it, so one p of each.  Over 4,000 graphs on 6 nodes, each of
+        # the 15 pairs, the first (0, 1) and the last (4, 5) included, must
+        # be kept at a rate within 4 sigma of p, and the edge count's sample
+        # variance within 4 of its standard errors of the binomial's.
+        n, seeds = 6, 4000
+        pairs = n * (n - 1) // 2
+        kept = np.zeros((seeds, pairs), dtype=bool)
+        for s in range(seeds):
+            u, v = erdos_renyi(n, p, seed=s).edge_arrays()
+            kept[s, u * (2 * n - 1 - u) // 2 + v - u - 1] = True
+        sigma = np.sqrt(p * (1 - p) / seeds)
+        assert np.all(np.abs(kept.mean(axis=0) - p) < 4 * sigma)
+        var = pairs * p * (1 - p)
+        excess_kurtosis = (1 - 6 * p * (1 - p)) / var
+        var_se = var * np.sqrt(2 / (seeds - 1) + excess_kurtosis / seeds)
+        assert abs(kept.sum(axis=1).var(ddof=1) - var) < 4 * var_se
 
     @pytest.mark.parametrize("p", [-0.1, 1.5])
     def test_bad_probability(self, p):
