@@ -40,6 +40,7 @@ from .evaluate import (
 )
 from .features import (
     FEATURE_NAMES,
+    check_row_name,
     csv_records,
     csv_text,
     extract_features,
@@ -210,11 +211,7 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
         graph_path, name, category = row[0], row[1], row[2]
         if not graph_path:
             raise ValueError(f"{path} line {lineno}: empty graph path")
-        if not name:
-            raise ValueError(f"{path} line {lineno}: empty graph name")
-        if name in seen:
-            raise ValueError(f"{path} line {lineno}: duplicate name {name!r}")
-        seen.add(name)
+        check_row_name(name, seen, f"{path} line {lineno}")
         if not os.path.isabs(graph_path):
             graph_path = os.path.join(base, graph_path)
         rows.append((graph_path, name, category))

@@ -326,6 +326,15 @@ def csv_records(text: str, what: str) -> Iterator[tuple[int, list[str]]]:
         raise ValueError(f"empty {what}")
 
 
+def check_row_name(name: str, seen: set, where: str) -> None:
+    """Add a row's name to `seen`, or raise naming `where` if empty or seen."""
+    if not name:
+        raise ValueError(f"{where}: empty name")
+    if name in seen:
+        raise ValueError(f"{where}: duplicate name {name!r}")
+    seen.add(name)
+
+
 def write_features_csv(
     out: IO[str], rows: Iterable[tuple[str, str, FeatureVector]]
 ) -> None:
@@ -340,9 +349,9 @@ def write_features_csv(
 def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:
     """Read a feature CSV back into (names, categories, matrix).
 
-    The header must match the canonical layout exactly, no name may repeat,
-    and every feature cell must hold a finite number; an error names the row
-    and the column.
+    The header must match the canonical layout exactly, each name must be
+    non-empty and unique (check_row_name), and every feature cell must hold
+    a finite number; an error names the row and the column.
     """
     records = csv_records(src.read(), "feature CSV")
     _, header = next(records)
@@ -351,10 +360,8 @@ def read_features_csv(src: IO[str]) -> tuple[list[str], list[str], np.ndarray]:
     names, categories, rows, seen = [], [], [], set()
     for lineno, row in records:
         if len(row) != len(FEATURE_NAMES) + 2:
-            raise ValueError(f"feature CSV row for {row[0]!r} has wrong arity")
-        if row[0] in seen:
-            raise ValueError(f"feature CSV line {lineno}: duplicate name {row[0]!r}")
-        seen.add(row[0])
+            raise ValueError(f"feature CSV line {lineno}: row for {row[0]!r} has wrong arity")
+        check_row_name(row[0], seen, f"feature CSV line {lineno}")
         names.append(row[0])
         categories.append(row[1])
         values = []

@@ -169,16 +169,13 @@ def _grow_trees(
     seeds: list,
     n_classes: int,
 ) -> list:
-    """Grow CART tree t on the rows x[samples[t]], y[samples[t]], drawing
-    each node's features_per_split candidate columns (checked by forest_train)
-    from make_rng(seeds[t]); see the module docstring for the lockstep
-    schedule.  A node takes the cut of greatest Gini gain, at the midpoint of
-    the two values it separates (the lower one if no float lies between).  It
-    stays a leaf when pure, when it holds fewer than min_split rows, or when
-    no cut has strictly positive gain."""
-    # A NaN threshold would send every row right and never end the split.
-    if not np.isfinite(x).all():
-        raise ValueError("matrix contains non-finite values")
+    """Grow CART tree t on the rows x[samples[t]], y[samples[t]] of a finite
+    x (data.apply_log's), drawing each node's features_per_split candidate
+    columns (checked by forest_train) from make_rng(seeds[t]); see the module
+    docstring for the lockstep schedule.  A node takes the cut of greatest
+    Gini gain, at the midpoint of the two values it separates (the lower one
+    if no float lies between).  It stays a leaf when pure, when it holds
+    fewer than min_split rows, or when no cut has strictly positive gain."""
     n_features = x.shape[1]
     # Values and their dense ranks column by column: (row, column) is the
     # flat index column * n_rows + row.

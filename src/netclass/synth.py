@@ -9,6 +9,9 @@ Randomness follows the package seeding contract: graph index i under a
 spec's master seed consumes derive_seed(master, 2*i) for its parameters and
 derive_seed(master, 2*i + 1) for its edges, so corpora are reproducible
 graph-by-graph and independent of generation order.
+
+parse_generator_spec checks a spec file's syntax, GeneratorSpec its family
+rules (FAMILY_RANGES) and values; no rule is checked in both.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 from .graph import MAX_NODES, Graph, _build_graph, _starts
 from .seeding import derive_seed, make_rng
 
-FAMILIES = ("ER", "BA")
+# Each family and the parameter ranges it takes; a spec sets exactly one.
+FAMILY_RANGES = {"ER": ("p", "avg_degree"), "BA": ("m",)}
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -116,7 +120,8 @@ class GeneratorSpec:
 
     ER specs take either an explicit probability range or an expected
     average-degree range (p is then min(degree/(n-1), 1)); BA specs take an
-    attachment-count range.  Node counts are drawn log-uniformly.  A spec is
+    attachment-count range.  Exactly one of its family's FAMILY_RANGES is
+    set, and no other.  Node counts are drawn log-uniformly.  A spec is
     checked when it is built, so an invalid one cannot exist.
     """
 
@@ -129,7 +134,7 @@ class GeneratorSpec:
     m_range: "tuple[int, int] | None" = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_RANGES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.count < 0:
             raise ValueError("count must be non-negative")
@@ -138,24 +143,21 @@ class GeneratorSpec:
             raise ValueError(f"bad node range [{lo}, {hi}]")
         if hi > MAX_NODES:
             raise ValueError(f"{hi} nodes exceed the limit of {MAX_NODES}")
-        if self.family == "ER":
-            if (self.p_range is None) == (self.avg_degree_range is None):
-                raise ValueError("ER spec needs exactly one of p or avg-degree range")
-            if self.p_range is not None:
-                plo, phi = self.p_range
-                if not 0.0 <= plo <= phi <= 1.0:
-                    raise ValueError(f"bad probability range [{plo}, {phi}]")
-            else:
-                dlo, dhi = self.avg_degree_range
-                if not (0.0 <= dlo <= dhi and math.isfinite(dhi)):
-                    raise ValueError(f"bad degree range [{dlo}, {dhi}]")
-            if self.m_range is not None:
-                raise ValueError("m range is a BA parameter")
-        else:
-            if self.m_range is None:
-                raise ValueError("BA spec needs an m range")
-            if self.p_range is not None or self.avg_degree_range is not None:
-                raise ValueError("p/degree ranges are ER parameters")
+        takes = FAMILY_RANGES[self.family]
+        given = [key for keys in FAMILY_RANGES.values() for key in keys
+                 if getattr(self, f"{key}_range") is not None]
+        if len(given) != 1 or given[0] not in takes:
+            raise ValueError(f"{self.family} spec needs exactly one range of "
+                             f"{' or '.join(takes)} and no other, got {given or 'none'}")
+        if self.p_range is not None:
+            plo, phi = self.p_range
+            if not 0.0 <= plo <= phi <= 1.0:
+                raise ValueError(f"bad probability range [{plo}, {phi}]")
+        if self.avg_degree_range is not None:
+            dlo, dhi = self.avg_degree_range
+            if not (0.0 <= dlo <= dhi and math.isfinite(dhi)):
+                raise ValueError(f"bad degree range [{dlo}, {dhi}]")
+        if self.m_range is not None:
             mlo, mhi = self.m_range
             if not 1 <= mlo <= mhi < lo:
                 raise ValueError(f"need 1 <= m_lo <= m_hi < n_lo, got [{mlo}, {mhi}]")
@@ -240,14 +242,6 @@ def default_corpus_specs(master_seed: int) -> list[GeneratorSpec]:
     ]
 
 
-_SECTION_KEYS = {
-    "ba": {"count", "nodes_min", "nodes_max", "m_min", "m_max", "seed"},
-    "er": {
-        "count", "nodes_min", "nodes_max",
-        "p_min", "p_max", "avg_degree_min", "avg_degree_max", "seed",
-    },
-}
-
 # The <key>_min/<key>_max pairs a section may hold, and their value type.
 _RANGES = {"nodes": int, "p": float, "avg_degree": float, "m": int}
 
@@ -258,7 +252,10 @@ def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
     An optional [corpus] section sets master_seed (falling back to
     `default_master`); each [ba]/[er] section describes one GeneratorSpec.
     A family section without an explicit seed gets one derived from the
-    corpus master and its position in the file.
+    corpus master and its position in the file.  Only the syntax is checked
+    here (section names, keys, count and nodes present, ranges as _min/_max
+    pairs); the family rules and values are GeneratorSpec's, whose errors
+    read "bad [<section>] section: ...".
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -279,17 +276,15 @@ def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
     for idx, section in enumerate(family_sections):
         # Sections are "[ba]"/"[er]", optionally qualified ("[er sparse]")
         # since a file may describe several corpora of one family.
-        family = section.split()[0].lower() if section.split() else section
-        if family not in _SECTION_KEYS:
+        family = section.split()[0].upper() if section.split() else section
+        if family not in FAMILY_RANGES:
             raise ValueError(f"unknown generator section [{section}]")
-        extra = set(parser[section]) - _SECTION_KEYS[family]
+        get = parser[section]
+        extra = set(get) - {"count", "seed", *(f"{key}_{end}" for key in _RANGES
+                                               for end in ("min", "max"))}
         if extra:
             raise ValueError(f"unknown keys in [{section}]: {sorted(extra)}")
-        get = parser[section]
-        required = {"count", "nodes_min", "nodes_max"}
-        if family == "ba":
-            required |= {"m_min", "m_max"}
-        missing = required - set(get)
+        missing = {"count", "nodes_min", "nodes_max"} - set(get)
         if missing:
             raise ValueError(f"[{section}] missing keys: {sorted(missing)}")
         for key in _RANGES:
@@ -297,7 +292,7 @@ def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
                 raise ValueError(f"[{section}] needs both {key}_min and {key}_max")
         try:
             spec = GeneratorSpec(
-                family=family.upper(),
+                family=family,
                 count=get.getint("count"),
                 **{
                     f"{key}_range": (kind(get[f"{key}_min"]), kind(get[f"{key}_max"]))

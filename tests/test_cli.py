@@ -198,6 +198,24 @@ BAD_SETTINGS = [
       for command in TABLE_COMMANDS],
     # An infinite degree bound is refused before any graph is drawn.
     ("generate", [], "inf_degree.ini: bad [er] section: bad degree range [1.0, inf]"),
+    # An empty name, in either table.
+    *[(command, [], f"noname_{command}.csv: feature CSV line 3: empty name")
+      for command in TABLE_COMMANDS],
+    ("features", [], "noname.csv line 3: empty name"),
+    # A table with nothing to read.
+    ("train", [], "header_only.csv: feature CSV has no data rows"),
+    ("features", [], "empty_manifest.csv: empty manifest"),
+    # Reversed ranges, and the family rules: exactly one of a family's ranges.
+    ("generate", [], "reversed_nodes.ini: bad [ba] section: bad node range [9, 5]"),
+    ("generate", [], "reversed_p.ini: bad [er] section: bad probability range [0.5, 0.2]"),
+    ("generate", [], "ba_without_m.ini: bad [ba] section: "
+     "BA spec needs exactly one range of m and no other, got none"),
+    ("generate", [], "er_with_m.ini: bad [er] section: "
+     "ER spec needs exactly one range of p or avg_degree and no other, got ['p', 'm']"),
+    ("generate", [], "ba_with_p.ini: bad [ba] section: "
+     "BA spec needs exactly one range of m and no other, got ['p', 'm']"),
+    ("generate", [], "ba_with_degree.ini: bad [ba] section: "
+     "BA spec needs exactly one range of m and no other, got ['avg_degree']"),
 ]
 
 
@@ -241,6 +259,24 @@ BAD_INPUT_FILES = [
       for command in TABLE_COMMANDS],
     ("inf_degree.ini", "[er]\ncount = 1\nnodes_min = 10\nnodes_max = 20\n"
      "avg_degree_min = 1\navg_degree_max = inf\n"),
+    *[(f"noname_{command}.csv", "\n".join(
+        [CSV_HEADER] + [feature_line(name, category) for name, category in
+                        [("g", "BA"), ("", "ER"), ("h", "ER")]]) + "\n")
+      for command in TABLE_COMMANDS],
+    ("noname.csv", "path,name,category\ngraphs/ba_0000.edges,g0,BA\ngraphs/ba_0001.edges,,BA\n"),
+    ("header_only.csv", f"{CSV_HEADER}\n"),
+    ("empty_manifest.csv", ""),
+    ("reversed_nodes.ini", "[ba]\ncount = 1\nnodes_min = 9\nnodes_max = 5\n"
+     "m_min = 2\nm_max = 2\n"),
+    ("reversed_p.ini", "[er]\ncount = 1\nnodes_min = 5\nnodes_max = 9\n"
+     "p_min = 0.5\np_max = 0.2\n"),
+    ("ba_without_m.ini", "[ba]\ncount = 1\nnodes_min = 5\nnodes_max = 9\n"),
+    ("er_with_m.ini", "[er]\ncount = 1\nnodes_min = 5\nnodes_max = 9\n"
+     "p_min = 0.1\np_max = 0.2\nm_min = 2\nm_max = 2\n"),
+    ("ba_with_p.ini", "[ba]\ncount = 1\nnodes_min = 5\nnodes_max = 9\n"
+     "m_min = 2\nm_max = 2\np_min = 0.1\np_max = 0.2\n"),
+    ("ba_with_degree.ini", "[ba]\ncount = 1\nnodes_min = 5\nnodes_max = 9\n"
+     "avg_degree_min = 2\navg_degree_max = 3\n"),
 ]
 BAD_INPUTS = {
     message: input_file
@@ -306,6 +342,15 @@ class TestConfigFile:
                      "--model-out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert code == 0
         assert "trained 7 trees" in capsys.readouterr().out
+
+    def test_none_is_the_default(self, tmp_path, corpus):
+        # features_per_split = none asks for round(sqrt(D)), as no setting does.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("features_per_split = none\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        assert main(["train", str(corpus["features"]), "--model-out", str(model),
+                     "--trees", "9", "--config", str(cfg)]) == 0
+        assert model.read_bytes() == corpus["model"].read_bytes()
 
     def test_unused_setting_not_checked(self, tmp_path):
         # generate grows no forest, so an out-of-range trees does not stop it
@@ -558,6 +603,26 @@ class TestFeatures:
             argv = ["predict", str(corpus["model"]), str(good), str(huge), "--out", str(out)]
         assert main(argv) == 2
         assert f"{huge}: line 2: {10**18} rows exceed the limit" in capsys.readouterr().err
+        assert len(read(out).splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["features", "predict"])
+    def test_matrix_market_without_dimensions_fails_one_graph(self, tmp_path, corpus, capsys,
+                                                              command):
+        # A graph file is one row of a batch, so it fails with exit 2, not 1.
+        bad = tmp_path / "nodims.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate pattern general\n% no sizes\n",
+                       encoding="utf-8")
+        good = corpus["graphs"] / "ba_0000.edges"
+        out = tmp_path / "out.csv"
+        if command == "features":
+            manifest = tmp_path / "m.csv"
+            manifest.write_text(f"path,name,category\n{good},ok,BA\n{bad},bad,BA\n",
+                                encoding="utf-8")
+            argv = ["features", str(manifest), "--out", str(out)]
+        else:
+            argv = ["predict", str(corpus["model"]), str(good), str(bad), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{bad}: missing dimensions line" in capsys.readouterr().err
         assert len(read(out).splitlines()) == 2
 
     @pytest.mark.parametrize("command", ["features", "predict"])

@@ -109,11 +109,17 @@ class TestTrainTree:
         assert tree.predict(np.array([[0.0]])).tolist() == [0]
 
     def test_non_finite_matrix_rejected(self):
-        y = np.array([0, 1, 0, 1])
         for bad in (np.nan, np.inf):
             x = np.array([[0.0], [bad], [1.0], [bad]])
+            ds = Dataset.from_feature_table(list("abcd"), ["A", "B", "A", "B"], x)
             with pytest.raises(ValueError, match="non-finite"):
-                train_tree(x, y, 1, 2, seed=0)
+                forest_train(ds, ForestParams(trees=1), master_seed=0)
+
+    def test_no_cut_with_positive_gain_leaves_one_leaf(self):
+        # Each side of the one cut holds one row of each class: zero gain.
+        tree = train_tree(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1]),
+                          1, 2, seed=0)
+        assert is_single_leaf(tree, [2, 2])
 
     @pytest.mark.parametrize("low,high", [
         (1.0 + EPS, 1.0 + 2 * EPS),  # the midpoint rounds up to the larger value

@@ -318,9 +318,16 @@ avg_degree_max = 10
             parse_generator_spec("[corpus]\nbogus = 3\n", default_master=0)
 
     def test_missing_required_key_rejected(self):
-        with pytest.raises(ValueError, match="missing keys"):
+        with pytest.raises(ValueError, match=r"bad \[ba\] section: BA spec needs exactly one "
+                                             r"range of m and no other, got none"):
             parse_generator_spec(
                 "[ba]\ncount=1\nnodes_min=5\nnodes_max=9\n", default_master=0
+            )
+
+    def test_missing_count_rejected(self):
+        with pytest.raises(ValueError, match=r"\[er\] missing keys: \['count'\]"):
+            parse_generator_spec(
+                "[er]\nnodes_min=5\nnodes_max=9\np_min=0.1\np_max=0.2\n", default_master=0
             )
 
     def test_half_specified_range_rejected(self):
