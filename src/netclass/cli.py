@@ -5,10 +5,12 @@ an output path that cannot be written, or not enough memory), 2 partial
 data failure (some graphs failed, one too large for memory included, but
 output was written for the rest), 3 internal error.  All file outputs are
 written atomically (temp file + rename) and are byte-identical for a given
-seed.  --workers N (at least 1) parallelizes the per-graph parse and
-feature extraction of `features` and `predict` only, over at most one
-forked process per CPU and per graph; every other command runs serially.
-The bytes are the same at any N.
+seed.  The independent units of work run on one pool of forked processes
+(_pool_map): the graphs of `generate`, `features` and `predict`, and the
+folds of `evaluate`.  --workers N (at least 1, default one per CPU) sizes
+it; `train`, `embed` and `cluster` run serially.  Each unit returns only its
+small result, so a process holds one graph at a time and --workers 1 is the
+low-memory choice.  The bytes are the same at any N.
 
 This module only parses and merges settings.  Each setting's range is
 checked by the library step that uses it (the forest, the folds,
@@ -56,7 +58,7 @@ from .forest import (
 )
 from .graph import parse_edge_list, parse_matrix_market, write_edge_list
 from .kmeans import kmeans
-from .synth import default_corpus_specs, generate_corpus, parse_generator_spec
+from .synth import default_corpus_specs, generate_entry, parse_generator_spec
 from .tsne import tsne
 
 EXIT_OK = 0
@@ -65,6 +67,11 @@ EXIT_PARTIAL = 2
 EXIT_INTERNAL = 3
 
 SEED_ENV_VAR = "NETCLASS_SEED"
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ class RunConfig:
     """
 
     seed: int = 42
-    workers: int = 1
+    workers: int = _cpu_count()
     trees: int = 100
     features_per_split: "int | None" = None
     min_split: int = 2
@@ -235,37 +242,63 @@ def _extract_one(path: str):
         return f"{path}: not enough memory: {exc}"
 
 
-def _extract_all(paths: list[str], workers: int):
-    """Run _extract_one over paths; one bad file never stops the batch.
+_unit = None  # the function a pool worker runs; set in it by _pool_map
 
-    Each graph depends only on its own file, so the graphs are spread over
-    min(workers, CPUs, graphs) forked processes when that is more than one.
-    Results come back in path order either way, so no byte depends on the
-    worker count.
+
+def _set_unit(fn) -> None:
+    global _unit
+    _unit = fn
+
+
+def _run_unit(item):
+    return _unit(item)
+
+
+def _pool_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], spread over min(workers, items, CPUs)
+    forked processes when that is more than one.
+
+    The results come back in item order, so no byte depends on the worker
+    count.  fn reaches the workers through fork, so it may be a closure; the
+    items and results are pickled, so each unit takes and returns little.
+    A unit that raises cancels the chunks of units no worker has taken yet,
+    and its error is raised here.  A worker that dies ends the map with a
+    ValueError.
+    """
+    items = list(items)
+    w = min(workers, len(items), _cpu_count())
+    if w <= 1:
+        return [fn(item) for item in items]
+    # Imported here: at module top they would slow every command's start.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a spawned worker imports numpy again, which costs
+    # about a fifth more CPU.  With fork the pool starts every worker
+    # before any thread of its own.
+    pool = ProcessPoolExecutor(w, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_unit, initargs=(fn,))
+    try:
+        # Chunks of a few units save round trips.  They stay small, since
+        # the workers have taken up to 2w + 1 chunks when a unit fails, and
+        # those run on to the end.
+        return list(pool.map(_run_unit, items, chunksize=max(1, len(items) // (16 * w))))
+    except BrokenProcessPool:
+        raise ValueError("a worker process died, possibly for lack of memory") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _extract_all(paths: list[str], workers: int):
+    """Run _extract_one over paths on the pool; one bad file never stops the
+    batch.
 
     Returns two dicts keyed by index into paths: the features of each graph
     that parsed, and the message of each that did not.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    w = min(workers, len(paths), cpus or 1)
-    if w > 1:
-        # Imported here: at module top they would slow every command's start.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # fork, not spawn: a spawned worker imports numpy again, which costs
-        # about a fifth more CPU.  With fork the pool starts every worker
-        # before any thread of its own.
-        try:
-            with ProcessPoolExecutor(w, mp_context=multiprocessing.get_context("fork")) as pool:
-                results = list(pool.map(_extract_one, paths))
-        except BrokenProcessPool:
-            raise ValueError("a worker process died, possibly for lack of memory") from None
-    else:
-        results = map(_extract_one, paths)
     done, failures = {}, {}
-    for i, result in enumerate(results):
+    for i, result in enumerate(_pool_map(_extract_one, paths, workers)):
         if isinstance(result, str):
             failures[i] = result
         else:
@@ -319,22 +352,28 @@ def cmd_generate(args: argparse.Namespace, cfg: RunConfig) -> int:
         specs = _parse_file(args.specfile, lambda text: parse_generator_spec(text, cfg.seed))
     else:
         specs = default_corpus_specs(cfg.seed)
-    entries = generate_corpus(specs)
-    if not entries:
+    # Graph j of the corpus is graph i of its spec.
+    units = [(spec, i) for spec in specs for i in range(spec.count)]
+    if not units:
         raise ValueError("generator spec produces no graphs")
-    _makedirs(args.out_dir)
-    manifest = []
-    for entry in entries:
+
+    def write_graph(j):
+        """Make and write graph j; only its manifest row leaves the unit."""
+        entry = generate_entry(*units[j], j)
         filename = f"{entry.name}.edges"
+        # Made with the first graph, so a failure before it leaves no directory.
+        _makedirs(args.out_dir)
         atomic_write(os.path.join(args.out_dir, filename), write_edge_list(entry.graph))
-        manifest.append([
+        return [
             filename, entry.name, entry.category,
             str(entry.graph.node_count), str(entry.graph.edge_count),
             entry.params, str(entry.seed),
-        ])
+        ]
+
+    manifest = _pool_map(write_graph, range(len(units)), cfg.workers)
     header = ["path", "name", "category", "nodes", "edges", "params", "seed"]
     atomic_write(os.path.join(args.out_dir, "manifest.csv"), csv_text(header, manifest))
-    print(f"generated {len(entries)} graphs -> {args.out_dir}")
+    print(f"generated {len(manifest)} graphs -> {args.out_dir}")
     return EXIT_OK
 
 
@@ -377,7 +416,8 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     dataset = _read_feature_table(args.features, Dataset.from_feature_table)
-    result = cross_validate(dataset, _forest_params(cfg), cfg.folds, cfg.seed)
+    result = cross_validate(dataset, _forest_params(cfg), cfg.folds, cfg.seed,
+                            map=lambda fold, folds: _pool_map(fold, folds, cfg.workers))
     reports = {
         "confusion.csv": confusion_to_csv(result.confusion),
         "confusion.txt": confusion_to_text(result.confusion),
@@ -461,9 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value settings file")
     common.add_argument("--seed", type=int, help="master seed (default 42)")
     common.add_argument("--workers", type=int,
-                        help="processes for the per-graph work of features and predict "
-                             "(default 1; at most one per CPU and per graph; "
-                             "same bytes at any count)")
+                        help="processes for the graphs of generate, features and predict "
+                             "and the folds of evaluate (default one per CPU, at most one "
+                             "per unit; each holds one graph at a time, so 1 uses the "
+                             "least memory; same bytes at any count)")
 
     forest_flags = argparse.ArgumentParser(add_help=False)
     forest_flags.add_argument("--trees", type=int, help="forest size (default 100)")

@@ -68,25 +68,30 @@ class CVResult:
 
 
 def cross_validate(
-    dataset: Dataset, params: ForestParams, k: int, seed: int
+    dataset: Dataset, params: ForestParams, k: int, seed: int, map=map
 ) -> CVResult:
     """k-fold CV with a fresh forest per fold; predictions are pooled.
 
     The folds use derive_seed(seed, 0) and fold f trains with master seed
     derive_seed(seed, 1 + f), so results are reproducible regardless of fold
-    evaluation order.
+    evaluation order.  `map(fold, range(k))` runs the folds: any map that
+    returns fold f's (predictions, votes) in order will do, such as one
+    that spreads the folds over processes.
     """
     folds = stratified_kfold(dataset.labels, k, derive_seed(seed, 0))
-    n = dataset.n_rows
-    predictions = np.full(n, -1, dtype=np.int64)
-    votes = np.zeros((n, dataset.n_classes), dtype=np.int64)
-    for f in range(k):
+
+    def fold(f):
         train_idx = np.nonzero(folds != f)[0]
         if not len(train_idx):
             raise ValueError(f"fold {f} leaves no training rows")
         forest = forest_train(dataset.subset(train_idx), params, derive_seed(seed, 1 + f))
-        rows = np.nonzero(folds == f)[0]
-        predictions[rows], votes[rows] = forest_predict(forest, dataset.matrix[rows])
+        return forest_predict(forest, dataset.matrix[folds == f])
+
+    n = dataset.n_rows
+    predictions = np.full(n, -1, dtype=np.int64)
+    votes = np.zeros((n, dataset.n_classes), dtype=np.int64)
+    for f, fold_result in enumerate(map(fold, range(k))):
+        predictions[folds == f], votes[folds == f] = fold_result
     counts = np.zeros((dataset.n_classes, dataset.n_classes), dtype=np.int64)
     np.add.at(counts, (dataset.labels, predictions), 1)
     confusion = ConfusionMatrix(counts, dataset.label_names)

@@ -244,6 +244,17 @@ def default_corpus_specs(master_seed: int) -> list[GeneratorSpec]:
 
 # The <key>_min/<key>_max pairs a section may hold, and their value type.
 _RANGES = {"nodes": int, "p": float, "avg_degree": float, "m": int}
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
+def _value(section: configparser.SectionProxy, key: str, kind):
+    """section[key] read as kind, or a ValueError naming the section and key."""
+    text = section[key]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"[{section.name}] {key}: {text!r} is not "
+                         f"{_KIND_NAMES[kind]}") from None
 
 
 def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
@@ -254,8 +265,9 @@ def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
     A family section without an explicit seed gets one derived from the
     corpus master and its position in the file.  Only the syntax is checked
     here (section names, keys, count and nodes present, ranges as _min/_max
-    pairs); the family rules and values are GeneratorSpec's, whose errors
-    read "bad [<section>] section: ...".
+    pairs, each value an integer or a number as its key asks, named as
+    "[<section>] <key>: ..." if not); the family rules and value ranges are
+    GeneratorSpec's, whose errors read "bad [<section>] section: ...".
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -269,7 +281,7 @@ def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
         if extra:
             raise ValueError(f"unknown [corpus] keys: {sorted(extra)}")
         if "master_seed" in parser["corpus"]:
-            master = parser.getint("corpus", "master_seed")
+            master = _value(parser["corpus"], "master_seed", int)
 
     specs = []
     family_sections = [s for s in parser.sections() if s != "corpus"]
@@ -290,17 +302,15 @@ def parse_generator_spec(text: str, default_master: int) -> list[GeneratorSpec]:
         for key in _RANGES:
             if (f"{key}_min" in get) != (f"{key}_max" in get):
                 raise ValueError(f"[{section}] needs both {key}_min and {key}_max")
+        count = _value(get, "count", int)
+        ranges = {
+            f"{key}_range": (_value(get, f"{key}_min", kind), _value(get, f"{key}_max", kind))
+            for key, kind in _RANGES.items()
+            if f"{key}_min" in get
+        }
+        seed = _value(get, "seed", int) if "seed" in get else derive_seed(master, idx)
         try:
-            spec = GeneratorSpec(
-                family=family,
-                count=get.getint("count"),
-                **{
-                    f"{key}_range": (kind(get[f"{key}_min"]), kind(get[f"{key}_max"]))
-                    for key, kind in _RANGES.items()
-                    if f"{key}_min" in get
-                },
-                master_seed=get.getint("seed") if "seed" in get else derive_seed(master, idx),
-            )
+            spec = GeneratorSpec(family=family, count=count, **ranges, master_seed=seed)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad [{section}] section: {exc}") from None
         specs.append(spec)

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import netclass.cli as cli_module
+import netclass.evaluate as evaluate_module
 from netclass.cli import SEED_ENV_VAR, main
 from netclass.features import CSV_HEADER, FEATURE_NAMES, read_features_csv
+from netclass.seeding import derive_seed
 
 SPEC = """\
 [corpus]
@@ -57,9 +59,10 @@ def read(path):
 needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                                     reason="needs two CPUs for a worker pool")
 
-# The pool pickles the function it maps by name, so the stand-ins for
-# cli._extract_one below live at module level and call the real one.
+# The stand-ins below for functions the pool runs call the real ones.
 _extract_one = cli_module._extract_one
+_generate_entry = cli_module.generate_entry
+_forest_train = evaluate_module.forest_train
 
 
 def _extract_noting_pid(directory, path):
@@ -75,6 +78,44 @@ def _extract_dying_on(parent, doomed, path):
     if path == doomed and os.getpid() != parent:
         os._exit(9)
     return _extract_one(path)
+
+
+def _generate_dying_on(parent, doomed, spec, local_index, global_index):
+    """generate_entry, except that a worker handed graph `doomed` dies."""
+    if global_index == doomed and os.getpid() != parent:
+        os._exit(9)
+    return _generate_entry(spec, local_index, global_index)
+
+
+def _train_dying_on(parent, doomed_seed, dataset, params, seed):
+    """forest_train, except that a worker training with `doomed_seed` dies."""
+    if seed == doomed_seed and os.getpid() != parent:
+        os._exit(9)
+    return _forest_train(dataset, params, seed)
+
+
+# Prints the exit code and peak RSS of `netclass ARGS`.  It runs in a small
+# process of its own: until its exec a child's memory is its parent's, and
+# ru_maxrss counts that too.
+PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "netclass.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def peak_rss_kib(argv, cwd):
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(SEED_ENV_VAR, None)
+    code, kib = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], cwd=cwd, env=env,
+                               check=True, capture_output=True, text=True).stdout.split()
+    assert code == "0"
+    return int(kib)
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +257,12 @@ BAD_SETTINGS = [
      "BA spec needs exactly one range of m and no other, got ['p', 'm']"),
     ("generate", [], "ba_with_degree.ini: bad [ba] section: "
      "BA spec needs exactly one range of m and no other, got ['avg_degree']"),
+    # A value that is not of its key's type, named by its section and key.
+    ("generate", [], "x_master_seed.ini: [corpus] master_seed: 'x' is not an integer"),
+    ("generate", [], "x_count.ini: [ba] count: 'x' is not an integer"),
+    ("generate", [], "x_seed.ini: [ba] seed: '1.5' is not an integer"),
+    ("generate", [], "x_nodes_min.ini: [er sparse] nodes_min: '5.0' is not an integer"),
+    ("generate", [], "x_p_min.ini: [er] p_min: 'x' is not a number"),
 ]
 
 
@@ -277,6 +324,15 @@ BAD_INPUT_FILES = [
      "m_min = 2\nm_max = 2\np_min = 0.1\np_max = 0.2\n"),
     ("ba_with_degree.ini", "[ba]\ncount = 1\nnodes_min = 5\nnodes_max = 9\n"
      "avg_degree_min = 2\navg_degree_max = 3\n"),
+    ("x_master_seed.ini", "[corpus]\nmaster_seed = x\n\n[ba]\ncount = 1\nnodes_min = 5\n"
+     "nodes_max = 9\nm_min = 2\nm_max = 2\n"),
+    ("x_count.ini", "[ba]\ncount = x\nnodes_min = 5\nnodes_max = 9\nm_min = 2\nm_max = 2\n"),
+    ("x_seed.ini", "[ba]\ncount = 1\nseed = 1.5\nnodes_min = 5\nnodes_max = 9\n"
+     "m_min = 2\nm_max = 2\n"),
+    ("x_nodes_min.ini", "[er sparse]\ncount = 1\nnodes_min = 5.0\nnodes_max = 9\n"
+     "p_min = 0.1\np_max = 0.2\n"),
+    ("x_p_min.ini", "[er]\ncount = 1\nnodes_min = 5\nnodes_max = 9\n"
+     "p_min = x\np_max = 0.2\n"),
 ]
 BAD_INPUTS = {
     message: input_file
@@ -418,17 +474,62 @@ class TestGenerate:
 
     def test_worker_count_never_changes_bytes(self, tmp_path, corpus):
         outs = []
-        for workers in ("1", "4"):
+        for workers in ("1", "2", "4", None):  # None: the default, one per CPU
             out = tmp_path / f"w{workers}"
-            assert main(["generate", str(corpus["spec"]), "--out-dir", str(out),
-                         "--workers", workers]) == 0
+            flags = ["--workers", workers] if workers else []
+            assert main(["generate", str(corpus["spec"]), "--out-dir", str(out)] + flags) == 0
             manifest = read(out / "manifest.csv")
             body = "".join(
                 read(out / line.split(",")[0])
                 for line in manifest.splitlines()[1:]
             )
             outs.append(manifest + body)
-        assert outs[0] == outs[1]
+        assert outs[1:] == outs[:1] * 3
+
+    @needs_two_cpus
+    def test_dead_worker_exits_1(self, tmp_path, corpus, capsys, monkeypatch):
+        # Stands in for a worker the OOM killer ends.
+        monkeypatch.setattr(cli_module, "generate_entry", functools.partial(
+            _generate_dying_on, os.getpid(), 7))
+        out = tmp_path / "o"
+        started = time.monotonic()
+        assert main(["generate", str(corpus["spec"]), "--out-dir", str(out),
+                     "--workers", "2"]) == 1
+        assert time.monotonic() - started < 30
+        assert "error: a worker process died" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.csv").exists()
+
+    @needs_two_cpus
+    def test_failed_unit_stops_the_rest(self, tmp_path, capsys, monkeypatch):
+        # Graph 3 of the 125 stock graphs fails.  The graphs no worker has
+        # taken yet are never made: a few chunks of three run on, not all.
+        def generate_entry(spec, local_index, global_index):
+            if global_index == 3:
+                raise MemoryError("Unable to allocate 7.45 GiB for an array")
+            return _generate_entry(spec, local_index, global_index)
+
+        monkeypatch.setattr(cli_module, "generate_entry", generate_entry)
+        out = tmp_path / "o"
+        assert main(["generate", "--out-dir", str(out), "--seed", "7", "--workers", "2"]) == 1
+        assert "error: not enough memory: Unable to allocate 7.45 GiB" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        written = os.listdir(out)
+        assert "manifest.csv" not in written
+        assert 3 <= len(written) < 40
+
+    def test_streams_one_graph_at_a_time(self, tmp_path):
+        # Each graph is written and dropped before the next is made, so 24
+        # graphs of 100,000 edges peak where one does.  Holding them all
+        # takes about 40 MiB more.
+        peaks = []
+        for count in (1, 24):
+            spec = tmp_path / f"s{count}.ini"
+            spec.write_text(f"[er]\ncount = {count}\nnodes_min = 10000\nnodes_max = 10000\n"
+                            "avg_degree_min = 20\navg_degree_max = 20\n", encoding="utf-8")
+            peaks.append(peak_rss_kib(["generate", str(spec), "--out-dir", f"o{count}",
+                                       "--workers", "1"], tmp_path))
+        assert peaks[1] < peaks[0] + 12 * 1024
 
     def test_no_leftover_temp_files(self, corpus):
         names = [p.name for p in corpus["graphs"].iterdir()]
@@ -493,10 +594,10 @@ class TestGenerate:
 
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
         # Stands in for a spec whose graphs are too large for this machine.
-        def exhausted(specs):
+        def exhausted(spec, local_index, global_index):
             raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
-        monkeypatch.setattr(cli_module, "generate_corpus", exhausted)
+        monkeypatch.setattr(cli_module, "generate_entry", exhausted)
         out = tmp_path / "o"
         assert main(["generate", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
@@ -888,6 +989,32 @@ class TestEvaluate:
         assert "accuracy" in read(out_dir / "confusion.txt")
         header = read(out_dir / "misclassified.csv").splitlines()[0]
         assert header == "name,category,predicted,votes_BA,votes_ER"
+
+    def test_worker_count_never_changes_bytes(self, tmp_path, corpus, capsys):
+        outs = []
+        for workers in ("1", "2", None):  # None: the default, one per CPU
+            out_dir = tmp_path / f"r{workers}"
+            flags = ["--workers", workers] if workers else []
+            assert main(["evaluate", str(corpus["features"]), "--out-dir", str(out_dir),
+                         "--folds", "4", "--trees", "9", "--seed", "5"] + flags) == 0
+            line = capsys.readouterr().out.replace(str(out_dir), "")
+            outs.append([line] + [read(out_dir / name) for name in
+                                  ("confusion.csv", "confusion.txt", "misclassified.csv")])
+        assert outs[1:] == outs[:1] * 2
+
+    @needs_two_cpus
+    def test_dead_worker_exits_1(self, tmp_path, corpus, capsys, monkeypatch):
+        # Stands in for a worker the OOM killer ends while it trains fold 2.
+        monkeypatch.setattr(evaluate_module, "forest_train", functools.partial(
+            _train_dying_on, os.getpid(), derive_seed(5, 1 + 2)))
+        out_dir = tmp_path / "reports"
+        started = time.monotonic()
+        assert main(["evaluate", str(corpus["features"]), "--out-dir", str(out_dir),
+                     "--folds", "4", "--trees", "9", "--seed", "5", "--workers", "2"]) == 1
+        assert time.monotonic() - started < 30
+        assert "error: a worker process died" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not out_dir.exists()
 
     def test_too_many_folds(self, tmp_path, corpus, capsys):
         code = main(["evaluate", str(corpus["features"]),

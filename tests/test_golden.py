@@ -127,13 +127,17 @@ def test_scale_shaped_erdos_renyi_matches_golden_digest():
 def test_generators_hold_their_bytes_without_simd_dispatch():
     """With every SIMD target above numpy's baseline switched off, both
     generators give the pinned bytes.  The variable is read when numpy
-    loads, so the run is a fresh process."""
+    loads, so the run is a fresh process.  The child's variable names the
+    targets on here and those the variable already turns off here, since a
+    child that named only the first would turn the others back on."""
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     if not targets:
         pytest.skip("numpy dispatches to nothing above its baseline on this CPU")
+    outer = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    disabled = outer + [t for t in targets if t not in outer]
     src = str(Path(netclass.__file__).resolve().parent.parent)
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", SCALE_DIGESTS], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
