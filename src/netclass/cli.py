@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import os
 import sys
@@ -58,7 +59,7 @@ from .forest import (
 )
 from .graph import parse_edge_list, parse_matrix_market, write_edge_list
 from .kmeans import kmeans
-from .synth import default_corpus_specs, generate_entry, parse_generator_spec
+from .synth import STOCK_SPEC, corpus_units, generate_entry, parse_generator_spec
 from .tsne import tsne
 
 EXIT_OK = 0
@@ -348,18 +349,14 @@ def cmd_features(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_generate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.specfile:
-        specs = _parse_file(args.specfile, lambda text: parse_generator_spec(text, cfg.seed))
-    else:
-        specs = default_corpus_specs(cfg.seed)
-    # Graph j of the corpus is graph i of its spec.
-    units = [(spec, i) for spec in specs for i in range(spec.count)]
+    parse = functools.partial(parse_generator_spec, default_master=cfg.seed)
+    units = corpus_units(_parse_file(args.specfile, parse) if args.specfile else parse(STOCK_SPEC))
     if not units:
         raise ValueError("generator spec produces no graphs")
 
-    def write_graph(j):
-        """Make and write graph j; only its manifest row leaves the unit."""
-        entry = generate_entry(*units[j], j)
+    def write_graph(unit):
+        """Make and write one graph; only its manifest row leaves the unit."""
+        entry = generate_entry(*unit)
         filename = f"{entry.name}.edges"
         # Made with the first graph, so a failure before it leaves no directory.
         _makedirs(args.out_dir)
@@ -370,7 +367,7 @@ def cmd_generate(args: argparse.Namespace, cfg: RunConfig) -> int:
             entry.params, str(entry.seed),
         ]
 
-    manifest = _pool_map(write_graph, range(len(units)), cfg.workers)
+    manifest = _pool_map(write_graph, units, cfg.workers)
     header = ["path", "name", "category", "nodes", "edges", "params", "seed"]
     atomic_write(os.path.join(args.out_dir, "manifest.csv"), csv_text(header, manifest))
     print(f"generated {len(manifest)} graphs -> {args.out_dir}")
@@ -392,8 +389,8 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
     def read_model(text):  # checked before any graph is read
         forest = forest_from_json(text)
-        if len(forest.params.log_flags) != len(FEATURE_NAMES):
-            raise ValueError(f"the model takes {len(forest.params.log_flags)} features, "
+        if forest.n_features != len(FEATURE_NAMES):
+            raise ValueError(f"the model takes {forest.n_features} features, "
                              f"but a graph gives {len(FEATURE_NAMES)}")
         return forest
 
@@ -499,7 +496,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value settings file")
-    common.add_argument("--seed", type=int, help="master seed (default 42)")
+    common.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
     common.add_argument("--workers", type=int,
                         help="processes for the graphs of generate, features and predict "
                              "and the folds of evaluate (default one per CPU, at most one "
@@ -507,11 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "least memory; same bytes at any count)")
 
     forest_flags = argparse.ArgumentParser(add_help=False)
-    forest_flags.add_argument("--trees", type=int, help="forest size (default 100)")
+    forest_flags.add_argument("--trees", type=int,
+                              help=f"forest size (default {RunConfig.trees})")
     forest_flags.add_argument("--features-per-split", type=int, dest="features_per_split",
                               help="candidate features per node (default round(sqrt(D)))")
     forest_flags.add_argument("--min-split", type=int, dest="min_split",
-                              help="minimum samples to split (default 2)")
+                              help=f"minimum samples to split (default {RunConfig.min_split})")
 
     parser = _Parser(
         prog="netclass",
@@ -528,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[common],
                        help="generate a synthetic ER/BA corpus")
     p.add_argument("specfile", nargs="?", default=None,
-                   help="corpus spec file (default: stock 50 BA + 75 ER corpus)")
+                   help="corpus spec file (default: netclass.synth.STOCK_SPEC, the stock corpus)")
     p.add_argument("--out-dir", required=True, help="directory for graphs + manifest")
     p.set_defaults(func=cmd_generate)
 
@@ -549,26 +547,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stratified k-fold cross-validation report")
     p.add_argument("features", help="labeled feature CSV")
     p.add_argument("--out-dir", default=".", help="report directory (default .)")
-    p.add_argument("--folds", type=int, help="fold count (default 10)")
+    p.add_argument("--folds", type=int, help=f"fold count (default {RunConfig.folds})")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("embed", parents=[common],
                        help="project feature vectors to 2-D")
     p.add_argument("features", help="feature CSV (categories may be blank)")
     p.add_argument("--out", required=True, help="output embedding CSV")
-    p.add_argument("--perplexity", type=float, dest="tsne_perplexity")
-    p.add_argument("--iterations", type=int, dest="tsne_iterations")
-    p.add_argument("--learning-rate", type=float, dest="tsne_learning_rate")
+    p.add_argument("--perplexity", type=float, dest="tsne_perplexity",
+                   help=f"t-SNE perplexity (default {RunConfig.tsne_perplexity})")
+    p.add_argument("--iterations", type=int, dest="tsne_iterations",
+                   help=f"t-SNE gradient steps (default {RunConfig.tsne_iterations})")
+    p.add_argument("--learning-rate", type=float, dest="tsne_learning_rate",
+                   help=f"t-SNE step size (default {RunConfig.tsne_learning_rate})")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("cluster", parents=[common],
                        help="k-means clustering of feature vectors")
     p.add_argument("features", help="feature CSV (categories may be blank)")
     p.add_argument("--out", required=True, help="output assignment CSV")
-    p.add_argument("--k", type=int, dest="kmeans_k", help="cluster count (default 8)")
-    p.add_argument("--restarts", type=int, dest="kmeans_restarts")
-    p.add_argument("--max-iter", type=int, dest="kmeans_max_iter")
-    p.add_argument("--overlap-threshold", type=float, dest="overlap_threshold")
+    p.add_argument("--k", type=int, dest="kmeans_k",
+                   help=f"cluster count (default {RunConfig.kmeans_k})")
+    p.add_argument("--restarts", type=int, dest="kmeans_restarts",
+                   help="k-means runs from new seeds; the lowest inertia wins "
+                        f"(default {RunConfig.kmeans_restarts})")
+    p.add_argument("--max-iter", type=int, dest="kmeans_max_iter",
+                   help=f"Lloyd iterations per restart (default {RunConfig.kmeans_max_iter})")
+    p.add_argument("--overlap-threshold", type=float, dest="overlap_threshold",
+                   help="overlap mass at which two categories are suggested for merging "
+                        f"(default {RunConfig.overlap_threshold})")
     p.add_argument("--overlap-out", help="write cluster/category overlap report here")
     p.set_defaults(func=cmd_cluster)
     return parser

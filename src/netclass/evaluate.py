@@ -70,7 +70,8 @@ class CVResult:
 def cross_validate(
     dataset: Dataset, params: ForestParams, k: int, seed: int, map=map
 ) -> CVResult:
-    """k-fold CV with a fresh forest per fold; predictions are pooled.
+    """k-fold CV with a fresh forest per fold that holds rows; predictions
+    are pooled.
 
     The folds use derive_seed(seed, 0) and fold f trains with master seed
     derive_seed(seed, 1 + f), so results are reproducible regardless of fold
@@ -84,8 +85,11 @@ def cross_validate(
         train_idx = np.nonzero(folds != f)[0]
         if not len(train_idx):
             raise ValueError(f"fold {f} leaves no training rows")
+        held = dataset.matrix[folds == f]
+        if not len(held):  # every class has fewer rows than k
+            return np.zeros(0, dtype=np.int64), np.zeros((0, dataset.n_classes), dtype=np.int64)
         forest = forest_train(dataset.subset(train_idx), params, derive_seed(seed, 1 + f))
-        return forest_predict(forest, dataset.matrix[folds == f])
+        return forest_predict(forest, held)
 
     n = dataset.n_rows
     predictions = np.full(n, -1, dtype=np.int64)

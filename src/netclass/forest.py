@@ -111,6 +111,10 @@ class Forest:
     params: ForestParams
     label_names: tuple[str, ...]
 
+    @property
+    def n_features(self) -> int:  # the width of its rows: one log flag per column
+        return len(self.params.log_flags)
+
 
 class _Growth:
     """One tree while it grows: its generator, its node arrays in preorder,
@@ -315,9 +319,8 @@ def forest_predict(forest: Forest, x: np.ndarray):
     lowest class index.
     """
     x = np.asarray(x, dtype=np.float64)
-    n_features = len(forest.params.log_flags)
-    if x.ndim not in (1, 2) or x.shape[-1] != n_features:
-        raise ValueError(f"expected rows of {n_features} features")
+    if x.ndim not in (1, 2) or x.shape[-1] != forest.n_features:
+        raise ValueError(f"expected rows of {forest.n_features} features")
     xs = apply_log(np.atleast_2d(x), forest.params.log_flags)
     votes = np.zeros((len(xs), len(forest.label_names)), dtype=np.int64)
     rows = np.arange(len(xs))

@@ -11,7 +11,8 @@ derive_seed(master, 2*i + 1) for its edges, so corpora are reproducible
 graph-by-graph and independent of generation order.
 
 parse_generator_spec checks a spec file's syntax, GeneratorSpec its family
-rules (FAMILY_RANGES) and values; no rule is checked in both.
+rules (FAMILY_RANGES) and values; no rule is checked in both.  The stock
+corpus is a spec text too (STOCK_SPEC), and corpus_units alone numbers a corpus.
 """
 
 from __future__ import annotations
@@ -180,12 +181,8 @@ def _draw_nodes(rng: np.random.Generator, lo: int, hi: int) -> int:
 
 
 def generate_entry(spec: GeneratorSpec, local_index: int, global_index: int) -> CorpusEntry:
-    """Realize one graph of a spec.
-
-    Graph i of a spec draws its parameters with derive_seed(master, 2i) and
-    builds the graph with derive_seed(master, 2i+1), so entries can be
-    produced independently and in any order.
-    """
+    """Realize graph local_index of a spec as graph global_index of its corpus
+    (one unit of corpus_units), seeded as the module docstring says."""
     prng = make_rng(derive_seed(spec.master_seed, 2 * local_index))
     graph_seed = derive_seed(spec.master_seed, 2 * local_index + 1)
     n = _draw_nodes(prng, *spec.nodes_range)
@@ -211,35 +208,38 @@ def generate_entry(spec: GeneratorSpec, local_index: int, global_index: int) -> 
     )
 
 
+def corpus_units(specs: Iterable[GeneratorSpec]) -> list[tuple[GeneratorSpec, int, int]]:
+    """(spec, i, j) for graph i of each spec in order: graph j of the corpus."""
+    units = ((spec, i) for spec in specs for i in range(spec.count))
+    return [(spec, i, j) for j, (spec, i) in enumerate(units)]
+
+
 def generate_corpus(specs: Iterable[GeneratorSpec]) -> list[CorpusEntry]:
     """Realize every spec in order, naming graphs by global corpus index."""
-    entries: list[CorpusEntry] = []
-    index = 0
-    for spec in specs:
-        for i in range(spec.count):
-            entries.append(generate_entry(spec, i, index))
-            index += 1
-    return entries
+    return [generate_entry(*unit) for unit in corpus_units(specs)]
+
+
+# The stock 125-graph corpus: 50 BA then 75 ER graphs.
+STOCK_SPEC = """\
+[ba]
+count = 50
+nodes_min = 100
+nodes_max = 2000
+m_min = 2
+m_max = 10
+
+[er]
+count = 75
+nodes_min = 100
+nodes_max = 2000
+avg_degree_min = 4.0
+avg_degree_max = 50.0
+"""
 
 
 def default_corpus_specs(master_seed: int) -> list[GeneratorSpec]:
-    """The stock 125-graph corpus: 50 BA then 75 ER graphs."""
-    return [
-        GeneratorSpec(
-            family="BA",
-            count=50,
-            nodes_range=(100, 2000),
-            m_range=(2, 10),
-            master_seed=derive_seed(master_seed, 0),
-        ),
-        GeneratorSpec(
-            family="ER",
-            count=75,
-            nodes_range=(100, 2000),
-            avg_degree_range=(4.0, 50.0),
-            master_seed=derive_seed(master_seed, 1),
-        ),
-    ]
+    """The stock corpus, STOCK_SPEC, under master_seed."""
+    return parse_generator_spec(STOCK_SPEC, master_seed)
 
 
 # The <key>_min/<key>_max pairs a section may hold, and their value type.

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import netclass
+from netclass import default_corpus_specs
+from netclass.synth import STOCK_SPEC, parse_generator_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
@@ -60,6 +62,14 @@ def test_readme_examples_run(section):
     assert blocks
     for block in blocks:
         exec(compile(block, f"README.md, {section}", "exec"), {})
+
+
+def test_readme_spec_is_the_stock_spec():
+    """The README's example spec is STOCK_SPEC under master seed 3."""
+    (block,) = re.findall(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert block == "[corpus]\nmaster_seed = 3\n\n" + STOCK_SPEC
+    for seed in (0, 7, 99):
+        assert parse_generator_spec(block, seed) == default_corpus_specs(3)
 
 
 def test_numpy_is_the_only_runtime_dependency():

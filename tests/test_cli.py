@@ -1,24 +1,28 @@
 """End-to-end command-line behaviour, run in process through main()."""
 
+import argparse
 import csv
 import functools
 import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import netclass.cli as cli_module
 import netclass.evaluate as evaluate_module
-from netclass.cli import SEED_ENV_VAR, main
+from netclass.cli import SEED_ENV_VAR, RunConfig, build_parser, main
 from netclass.features import CSV_HEADER, FEATURE_NAMES, read_features_csv
 from netclass.seeding import derive_seed
+from netclass.synth import STOCK_SPEC
 
 SPEC = """\
 [corpus]
@@ -146,6 +150,30 @@ class TestArgParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "generate" in capsys.readouterr().out
+
+    def test_every_setting_flag_states_its_default(self, capsys):
+        # Each setting flag's help gives its RunConfig default; --workers and
+        # --features-per-split describe theirs in words.
+        described = {"workers": "(default one per CPU,",
+                     "features_per_split": "(default round(sqrt(D)))"}
+        settings = {f.name for f in fields(RunConfig)}
+        seen = set()
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        for command, parser in commands.choices.items():
+            assert main([command, "--help"]) == 0
+            # The text past the usage, one flag per entry; argparse wraps
+            # lines, so whitespace is normalised.
+            text = " ".join(capsys.readouterr().out.split("\n\n", 1)[1].split())
+            entries = {e.split()[0]: e for e in re.split(r" (?=--\w)", text)}
+            for action in parser._actions:
+                if action.dest in settings:
+                    seen.add(action.dest)
+                    flag = action.option_strings[0]
+                    default = described.get(action.dest,
+                                            f"(default {getattr(RunConfig, action.dest)})")
+                    assert default in entries[flag], (command, flag)
+        assert seen == settings
 
     def test_workers_must_be_positive(self, corpus, capsys):
         code = main(["features", str(corpus["graphs"] / "manifest.csv"),
@@ -485,6 +513,20 @@ class TestGenerate:
             )
             outs.append(manifest + body)
         assert outs[1:] == outs[:1] * 3
+
+    @pytest.mark.parametrize("workers", [["--workers", "1"], []], ids=["one", "default"])
+    def test_stock_spec_file_gives_the_default_corpus(self, tmp_path, workers):
+        # Without a spec file generate reads STOCK_SPEC, so that text in a
+        # file gives the same directory, byte for byte.
+        spec = tmp_path / "stock.ini"
+        spec.write_text(STOCK_SPEC, encoding="utf-8")
+        dirs = []
+        for name, argv in [("default", []), ("file", [str(spec)])]:
+            out = tmp_path / name
+            assert main(["generate", *argv, "--out-dir", str(out), "--seed", "7", *workers]) == 0
+            dirs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(dirs[0]) == 126
+        assert dirs[1] == dirs[0]
 
     @needs_two_cpus
     def test_dead_worker_exits_1(self, tmp_path, corpus, capsys, monkeypatch):

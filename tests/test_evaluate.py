@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import netclass.evaluate as evaluate_module
 from netclass import Dataset, ForestParams, cross_validate, forest_predict, forest_train
 from netclass.evaluate import (
     ConfusionMatrix,
@@ -79,10 +80,18 @@ class TestCrossValidate:
         assert result.predictions.shape == (ds.n_rows,)
         assert set(result.predictions) <= {0, 1}
 
-    def test_empty_folds_predict_nothing(self):
+    def test_empty_folds_predict_nothing(self, monkeypatch):
+        trained = []
+
+        def counting_train(*args):
+            trained.append(args)
+            return forest_train(*args)
+
+        monkeypatch.setattr(evaluate_module, "forest_train", counting_train)
         ds = separable_dataset(n_per_class=3, seed=4)
         result = cross_validate(ds, ForestParams(trees=5), k=5, seed=0)
         assert np.bincount(result.folds, minlength=5).tolist() == [2, 2, 2, 0, 0]
+        assert len(trained) == 3  # the two empty folds train no forest
         assert np.all(result.predictions >= 0)
         assert result.confusion.counts.sum() == ds.n_rows
 

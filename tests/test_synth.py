@@ -242,6 +242,17 @@ class TestCorpus:
         assert [e.graph for e in a] == [e.graph for e in b]
         assert [e.graph for e in a] != [e.graph for e in c]
 
+    @pytest.mark.parametrize("master", [0, 1, 7, 42, -3, 2**70])
+    def test_stock_specs_are_the_hand_built_pair(self, master):
+        # The reference: the stock corpus built field by field, which
+        # default_corpus_specs must give by parsing STOCK_SPEC.
+        assert default_corpus_specs(master) == [
+            GeneratorSpec(family="BA", count=50, nodes_range=(100, 2000), m_range=(2, 10),
+                          master_seed=derive_seed(master, 0)),
+            GeneratorSpec(family="ER", count=75, nodes_range=(100, 2000),
+                          avg_degree_range=(4.0, 50.0), master_seed=derive_seed(master, 1)),
+        ]
+
     def test_entries_independent_of_order(self):
         # entry i depends only on (spec, i), never on earlier entries
         specs = default_corpus_specs(9)
