@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import io
 import os
 import sys
@@ -75,30 +76,38 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _default(fn, name: str):
+    """The default that fn's signature gives its parameter name."""
+    return inspect.signature(fn).parameters[name].default
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Effective settings after merging defaults, env, config file and flags.
 
-    Precedence, lowest to highest: built-in defaults, NETCLASS_SEED (seed
-    only), --config file, command-line flags.
+    Precedence, lowest to highest: built-in defaults (those of the library
+    step that takes the setting, if one does), NETCLASS_SEED (seed only),
+    --config file, command-line flags.
     """
 
     seed: int = 42
     workers: int = _cpu_count()
-    trees: int = 100
-    features_per_split: "int | None" = None
-    min_split: int = 2
+    trees: int = ForestParams.trees
+    features_per_split: int | None = ForestParams.features_per_split
+    min_split: int = ForestParams.min_split
     folds: int = 10
     kmeans_k: int = 8
-    kmeans_restarts: int = 10
-    kmeans_max_iter: int = 300
-    tsne_perplexity: float = 30.0
-    tsne_iterations: int = 1000
-    tsne_learning_rate: float = 200.0
-    overlap_threshold: float = 0.6
+    kmeans_restarts: int = _default(kmeans, "restarts")
+    kmeans_max_iter: int = _default(kmeans, "max_iter")
+    tsne_perplexity: float = _default(tsne, "perplexity")
+    tsne_iterations: int = _default(tsne, "iterations")
+    tsne_learning_rate: float = _default(tsne, "learning_rate")
+    overlap_threshold: float = _default(cluster_category_overlap, "threshold")
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Each setting's types from its annotation; (int, NoneType) may be unset.
+_SETTING_TYPES = {name: getattr(hint, "__args__", (hint,))
+                  for name, hint in inspect.get_annotations(RunConfig, eval_str=True).items()}
 
 
 def parse_config_text(text: str) -> dict:
@@ -113,14 +122,14 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        kind = _CONFIG_TYPES.get(key)
-        if kind is None:
+        kinds = _SETTING_TYPES.get(key)
+        if kinds is None:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            if "None" in kind and value.lower() == "none":
+            if type(None) in kinds and value.lower() == "none":
                 values[key] = None
             else:
-                values[key] = float(value) if kind == "float" else int(value)
+                values[key] = kinds[0](value)
         except ValueError:
             raise ValueError(
                 f"config line {lineno}: bad value {value!r} for {key}"
@@ -190,7 +199,7 @@ def atomic_write(path: str, text: str) -> None:
 def _parse_file(path: str, parse, newline: "str | None" = None):
     """Return parse(text of path), naming path in any error reading or parsing."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as handle:
             text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -493,23 +502,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _setting(parser, flag: str, dest: str, text: str, worded: str = "") -> None:
+    """Add RunConfig field dest's flag, of its type; the help ends with the
+    field's default, or with the worded one given."""
+    parser.add_argument(flag, type=_SETTING_TYPES[dest][0], dest=dest,
+                        help=f"{text} (default {worded or getattr(RunConfig, dest)})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value settings file")
-    common.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
-    common.add_argument("--workers", type=int,
-                        help="processes for the graphs of generate, features and predict "
-                             "and the folds of evaluate (default one per CPU, at most one "
-                             "per unit; each holds one graph at a time, so 1 uses the "
-                             "least memory; same bytes at any count)")
+    _setting(common, "--seed", "seed", "master seed")
+    _setting(common, "--workers", "workers",
+             "processes for the graphs of generate, features and predict and the folds "
+             "of evaluate", worded="one per CPU, at most one per unit; each holds one "
+             "graph at a time, so 1 uses the least memory; same bytes at any count")
 
     forest_flags = argparse.ArgumentParser(add_help=False)
-    forest_flags.add_argument("--trees", type=int,
-                              help=f"forest size (default {RunConfig.trees})")
-    forest_flags.add_argument("--features-per-split", type=int, dest="features_per_split",
-                              help="candidate features per node (default round(sqrt(D)))")
-    forest_flags.add_argument("--min-split", type=int, dest="min_split",
-                              help=f"minimum samples to split (default {RunConfig.min_split})")
+    _setting(forest_flags, "--trees", "trees", "forest size")
+    _setting(forest_flags, "--features-per-split", "features_per_split",
+             "candidate features per node", worded="round(sqrt(D))")
+    _setting(forest_flags, "--min-split", "min_split", "minimum samples to split")
 
     parser = _Parser(
         prog="netclass",
@@ -547,35 +560,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stratified k-fold cross-validation report")
     p.add_argument("features", help="labeled feature CSV")
     p.add_argument("--out-dir", default=".", help="report directory (default .)")
-    p.add_argument("--folds", type=int, help=f"fold count (default {RunConfig.folds})")
+    _setting(p, "--folds", "folds", "fold count")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("embed", parents=[common],
                        help="project feature vectors to 2-D")
     p.add_argument("features", help="feature CSV (categories may be blank)")
     p.add_argument("--out", required=True, help="output embedding CSV")
-    p.add_argument("--perplexity", type=float, dest="tsne_perplexity",
-                   help=f"t-SNE perplexity (default {RunConfig.tsne_perplexity})")
-    p.add_argument("--iterations", type=int, dest="tsne_iterations",
-                   help=f"t-SNE gradient steps (default {RunConfig.tsne_iterations})")
-    p.add_argument("--learning-rate", type=float, dest="tsne_learning_rate",
-                   help=f"t-SNE step size (default {RunConfig.tsne_learning_rate})")
+    _setting(p, "--perplexity", "tsne_perplexity", "t-SNE perplexity")
+    _setting(p, "--iterations", "tsne_iterations", "t-SNE gradient steps")
+    _setting(p, "--learning-rate", "tsne_learning_rate", "t-SNE step size")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("cluster", parents=[common],
                        help="k-means clustering of feature vectors")
     p.add_argument("features", help="feature CSV (categories may be blank)")
     p.add_argument("--out", required=True, help="output assignment CSV")
-    p.add_argument("--k", type=int, dest="kmeans_k",
-                   help=f"cluster count (default {RunConfig.kmeans_k})")
-    p.add_argument("--restarts", type=int, dest="kmeans_restarts",
-                   help="k-means runs from new seeds; the lowest inertia wins "
-                        f"(default {RunConfig.kmeans_restarts})")
-    p.add_argument("--max-iter", type=int, dest="kmeans_max_iter",
-                   help=f"Lloyd iterations per restart (default {RunConfig.kmeans_max_iter})")
-    p.add_argument("--overlap-threshold", type=float, dest="overlap_threshold",
-                   help="overlap mass at which two categories are suggested for merging "
-                        f"(default {RunConfig.overlap_threshold})")
+    _setting(p, "--k", "kmeans_k", "cluster count")
+    _setting(p, "--restarts", "kmeans_restarts",
+             "k-means runs from new seeds; the lowest inertia wins")
+    _setting(p, "--max-iter", "kmeans_max_iter", "Lloyd iterations per restart")
+    _setting(p, "--overlap-threshold", "overlap_threshold",
+             "overlap mass at which two categories are suggested for merging")
     p.add_argument("--overlap-out", help="write cluster/category overlap report here")
     p.set_defaults(func=cmd_cluster)
     return parser

@@ -27,8 +27,8 @@ import numpy as np
 from .graph import MAX_NODES, Graph, _build_graph, _starts
 from .seeding import derive_seed, make_rng
 
-# Each family and the parameter ranges it takes; a spec sets exactly one.
-FAMILY_RANGES = {"ER": ("p", "avg_degree"), "BA": ("m",)}
+# Each family's parameter ranges and their value type; a spec sets exactly one.
+FAMILY_RANGES = {"ER": {"p": float, "avg_degree": float}, "BA": {"m": int}}
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -243,7 +243,7 @@ def default_corpus_specs(master_seed: int) -> list[GeneratorSpec]:
 
 
 # The <key>_min/<key>_max pairs a section may hold, and their value type.
-_RANGES = {"nodes": int, "p": float, "avg_degree": float, "m": int}
+_RANGES = {"nodes": int, **{k: v for ranges in FAMILY_RANGES.values() for k, v in ranges.items()}}
 _KIND_NAMES = {int: "an integer", float: "a number"}
 
 

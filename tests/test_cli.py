@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, run in process through main()."""
 
 import argparse
+import codecs
 import csv
 import functools
 import io
@@ -19,7 +20,7 @@ import pytest
 
 import netclass.cli as cli_module
 import netclass.evaluate as evaluate_module
-from netclass.cli import SEED_ENV_VAR, RunConfig, build_parser, main
+from netclass.cli import SEED_ENV_VAR, RunConfig, build_parser, main, parse_config_text
 from netclass.features import CSV_HEADER, FEATURE_NAMES, read_features_csv
 from netclass.seeding import derive_seed
 from netclass.synth import STOCK_SPEC
@@ -174,6 +175,22 @@ class TestArgParsing:
                                             f"(default {getattr(RunConfig, action.dest)})")
                     assert default in entries[flag], (command, flag)
         assert seen == settings
+
+    def test_flags_and_config_read_each_setting_as_its_type(self):
+        # Each setting's default, written out, reads back as that default
+        # from a config file and from its flag; repr tells 30.0 from 30.
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        text = "".join(f"{name} = {value}\n" for name, value in defaults.items())
+        assert repr(parse_config_text(text)) == repr(defaults)
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        for parser in commands.choices.values():
+            for action in parser._actions:
+                if action.dest in defaults:
+                    # features_per_split is unset by default; "none" is a
+                    # config file word, not a flag value.
+                    want = defaults[action.dest] or 3
+                    assert repr(action.type(str(want))) == repr(want), action.dest
 
     def test_workers_must_be_positive(self, corpus, capsys):
         code = main(["features", str(corpus["graphs"] / "manifest.csv"),
@@ -451,6 +468,66 @@ class TestConfigFile:
         code = main(["cluster", str(corpus["features"]), "--out", "x.csv"])
         assert code == 1
         assert SEED_ENV_VAR in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is ignored, so
+    each file reads like its plain form."""
+
+    @staticmethod
+    def marked(path, tmp_path):
+        copy = tmp_path / f"bom_{path.name}"
+        copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return copy
+
+    def test_graph(self, tmp_path):
+        # Read as text, the mark would make '\ufeff1' a node apart from 1.
+        plain = tmp_path / "tri.edges"
+        plain.write_text("1 2\n2 3\n3 1\n", encoding="utf-8")
+        self.marked(plain, tmp_path)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,name,category\ntri.edges,plain,T\nbom_tri.edges,bom,T\n",
+                            encoding="utf-8")
+        out = tmp_path / "f.csv"
+        assert main(["features", str(manifest), "--out", str(out)]) == 0
+        _, _, matrix = read_features_csv(io.StringIO(read(out)))
+        assert matrix[0, 0] == 3
+        np.testing.assert_array_equal(matrix[1], matrix[0])
+
+    def test_manifest(self, tmp_path, corpus):
+        lines = read(corpus["graphs"] / "manifest.csv").splitlines()
+        rows = [lines[0]] + [os.path.join(corpus["graphs"], line) for line in lines[1:]]
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        assert main(["features", str(self.marked(manifest, tmp_path)), "--out", str(out)]) == 0
+        assert out.read_bytes() == corpus["features"].read_bytes()
+
+    @pytest.mark.parametrize("marked", ["features", "config"])
+    def test_feature_csv_and_config(self, tmp_path, corpus, marked):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trees = 9\n", encoding="utf-8")
+        inputs = {"features": corpus["features"], "config": cfg}
+        inputs[marked] = self.marked(inputs[marked], tmp_path)
+        model = tmp_path / "m.json"
+        assert main(["train", str(inputs["features"]), "--model-out", str(model),
+                     "--config", str(inputs["config"])]) == 0
+        assert model.read_bytes() == corpus["model"].read_bytes()
+
+    def test_spec(self, tmp_path, corpus):
+        out = tmp_path / "g"
+        assert main(["generate", str(self.marked(corpus["spec"], tmp_path)),
+                     "--out-dir", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            p.name: p.read_bytes() for p in corpus["graphs"].iterdir()}
+
+    def test_model(self, tmp_path, corpus, capsys):
+        graph = str(corpus["graphs"] / "er_0006.edges")
+        outputs = []
+        for model in (corpus["model"], self.marked(corpus["model"], tmp_path)):
+            assert main(["predict", str(model), graph]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
 
 class TestSeedPrecedence:
