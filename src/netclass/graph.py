@@ -196,22 +196,14 @@ def _coerce_label(token: str):
     return token if value is None else value
 
 
-def _lf_lines(text: str) -> str:
-    """text with "\n" as its only line end (str.splitlines knows nine more)."""
-    if any(end in text for end in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
-        return "\n".join(text.splitlines())
-    return text
-
-
 def parse_edge_list(text: str) -> tuple[Graph, list]:
     """Parse whitespace-separated edge-list text.
 
     Lines starting with '%' or '#' are comments; blank lines are skipped.
     Data lines hold 2 or 3 tokens (the third is a weight and is discarded).
     Integer-looking tokens are treated as integer labels, anything else as
-    text labels.  Any line end str.splitlines knows ends a line.
+    text labels.
     """
-    text = _lf_lines(text)
     tokens = _int_tokens(text, 2)
     if tokens is not None:
         return _parse_int_edges(tokens)
@@ -272,8 +264,10 @@ def parse_matrix_market(text: str) -> tuple[Graph, list]:
     entries are dropped, and `general` matrices are symmetrized.  Unlike edge
     lists, the declared dimension is kept, so isolated nodes survive.
     """
-    # Walk the banner, comments and blank lines up to the dimensions line.
-    text = _lf_lines(text)
+    # Make "\n" the only line end (str.splitlines knows nine more), then walk
+    # the banner, comments and blank lines up to the dimensions line.
+    if any(end in text for end in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        text = "\n".join(text.splitlines())
     start, lineno, dim_line = 0, 0, ""
     while not dim_line:
         if start > len(text):

@@ -331,18 +331,6 @@ class TestParsePaths:
             assert _int_tokens(text, 2) is not None
             assert_same_parse(parse_edge_list(text), parse_edge_list(self.FORCE + text))
 
-    @pytest.mark.parametrize("ends", [["\r\n"] * 4, ["\r"] * 4, ["\r\n", "\r", "\n", "\x0b"]],
-                             ids=["crlf", "cr", "mixed"])
-    def test_any_line_end_takes_the_numpy_path(self, ends, monkeypatch):
-        lines = ["1 2", "2 3", "3 1", "4 2"]
-        lf = parse_edge_list("\n".join(lines) + "\n")
-
-        def line_loop(pairs):
-            raise AssertionError("the line loop ran")
-
-        monkeypatch.setattr(netclass.graph, "from_edges", line_loop)
-        assert_same_parse(parse_edge_list("".join(l + e for l, e in zip(lines, ends))), lf)
-
     HEAD = "%%MatrixMarket matrix coordinate {} {}\n"
     MM_FAST = [  # (banner, comments and dimensions; entries)
         (HEAD.format("pattern", "symmetric") + "5 5 3\n", "1 2\n2 3\n3 1\n"),
