@@ -125,6 +125,8 @@ def parse_config_text(text: str) -> dict:
         kinds = _SETTING_TYPES.get(key)
         if kinds is None:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         try:
             if type(None) in kinds and value.lower() == "none":
                 values[key] = None

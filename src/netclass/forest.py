@@ -34,8 +34,8 @@ from .data import Dataset, apply_log
 from .seeding import derive_seed, make_rng
 
 MODEL_FORMAT = "netclass-forest"
-MODEL_VERSION = 3
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+MODEL_VERSION = 4
+TREE_ARRAYS = ("feature", "threshold", "right")
 # Rows scored in one segmented pass.  A round's nodes go in chunks of at
 # most this many rows (a larger node is a chunk of its own), which bounds
 # the pass's arrays to a few MiB.
@@ -82,16 +82,15 @@ class ForestParams:
 class DecisionTree:
     """A tree as parallel node arrays in preorder; node 0 is the root.
 
-    feature is -1 at leaves; an internal node sends x[feature] <= threshold
-    to left and the rest to right, and both children come after it.
-    counts[i] holds the per-class training counts that reached node i.
+    feature is -1 at leaves.  An internal node i sends x[feature] <= threshold
+    to its left child i + 1 and the rest to its right child right[i] > i.  At
+    a leaf, right holds the class: the one most training rows that reached
+    the leaf belong to, ties to the lowest class index.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
-    counts: np.ndarray
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
         """Class of each row of a matrix."""
@@ -100,9 +99,9 @@ class DecisionTree:
         while live.size:
             at = node[live]
             go_left = xs[live, self.feature[at]] <= self.threshold[at]
-            node[live] = np.where(go_left, self.left[at], self.right[at])
+            node[live] = np.where(go_left, at + 1, self.right[at])
             live = live[self.feature[node[live]] >= 0]
-        return np.argmax(self.counts[node], axis=1)
+        return self.right[node]
 
 
 @dataclass(frozen=True)
@@ -120,17 +119,19 @@ class _Growth:
     """One tree while it grows: its generator, its node arrays in preorder,
     and a stack of (rows, class counts, parent) for the nodes not yet numbered.
     A stack entry names its parent if it is a right child; a left child always
-    directly follows its parent."""
+    directly follows its parent.  A node's counts decide whether it can split
+    and its class as a leaf; the tree keeps only that class."""
 
     def __init__(self, rows: np.ndarray, counts: np.ndarray, seed: int):
         self.rng = make_rng(seed)
         self.stack = [(rows, counts, -1)]
-        self.feature, self.threshold, self.left, self.right, self.counts = [], [], [], [], []
+        self.feature, self.threshold, self.right = [], [], []
 
     def next_node(self, min_split: int):
-        """Number nodes off the stack, each a leaf for now, until one can split:
-        it holds at least min_split rows of at least two classes.  Returns that
-        node's (number, rows, counts), or None when the tree is done."""
+        """Number nodes off the stack, each a leaf of its majority class for
+        now, until one can split: it holds at least min_split rows of at least
+        two classes.  Returns that node's (number, rows, counts), or None when
+        the tree is done."""
         while self.stack:
             rows, counts, parent = self.stack.pop()
             node = len(self.feature)
@@ -138,19 +139,17 @@ class _Growth:
                 self.right[parent] = node
             self.feature.append(-1)
             self.threshold.append(0.0)
-            self.left.append(-1)
-            self.right.append(-1)
-            self.counts.append(counts)
+            self.right.append(int(counts.argmax()))
             if len(rows) >= min_split and np.count_nonzero(counts) > 1:
                 return node, rows, counts
         return None
 
     def split(self, node, feature, threshold, left, right) -> None:
         """Make node internal; left and right are each child's (rows, counts).
-        The left child is popped first, so nodes are numbered in preorder."""
+        The left child is popped first, so nodes are numbered in preorder, and
+        the right child writes its number over node's class when popped."""
         self.feature[node] = feature
         self.threshold[node] = threshold
-        self.left[node] = node + 1
         self.stack.append((*right, node))
         self.stack.append((*left, -1))
 
@@ -158,9 +157,7 @@ class _Growth:
         return DecisionTree(
             np.array(self.feature, dtype=np.int64),
             np.array(self.threshold, dtype=np.float64),
-            np.array(self.left, dtype=np.int64),
             np.array(self.right, dtype=np.int64),
-            np.array(self.counts, dtype=np.int64),
         )
 
 
@@ -333,13 +330,13 @@ def forest_predict(forest: Forest, x: np.ndarray):
 
 
 def forest_to_json(forest: Forest) -> str:
-    """Serialize to a versioned, key-sorted JSON document."""
+    """Serialize to a versioned, key-sorted JSON document.  Each fact is
+    stored once: params leaves out trees, which is the length of trees."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "label_names": list(forest.label_names),
         "params": {
-            "trees": forest.params.trees,
             "features_per_split": forest.params.features_per_split,
             "min_split": forest.params.min_split,
             "log_flags": list(forest.params.log_flags),
@@ -359,26 +356,25 @@ def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> DecisionTree
         for name in TREE_ARRAYS
     ))
     n = len(tree.feature)
-    if n < 1 or tree.counts.shape != (n, n_classes) or any(
-        getattr(tree, name).shape != (n,) for name in TREE_ARRAYS[:4]
-    ):
-        raise ModelFormatError(
-            f"tree arrays must have one entry per node and {n_classes} counts each"
-        )
+    if n < 1 or any(getattr(tree, name).shape != (n,) for name in TREE_ARRAYS):
+        raise ModelFormatError("tree arrays must have one entry per node")
     # The int64 conversion truncates a fraction, so compare with the values read.
     if any(not np.array_equal(np.asarray(data[name], dtype=np.float64), getattr(tree, name))
-           for name in ("feature", "left", "right", "counts")):
-        raise ModelFormatError("tree feature, left, right and counts must hold whole numbers")
-    if not np.isfinite(tree.threshold).all() or (tree.counts < 0).any():
-        raise ModelFormatError("tree thresholds must be finite and counts at least 0")
+           for name in ("feature", "right")):
+        raise ModelFormatError("tree feature and right must hold whole numbers")
+    if not np.isfinite(tree.threshold).all():
+        raise ModelFormatError("tree thresholds must be finite")
     if ((tree.feature < -1) | (tree.feature >= n_features)).any():
         raise ModelFormatError(f"tree feature index outside 0..{n_features - 1}")
-    # Children must come after their parent, so every walk ends at a leaf.
+    # Both children come after an internal node i: i < i + 1 <= right[i] < n,
+    # so the last node is a leaf and every walk ends at one.
     inner = tree.feature >= 0
-    node = np.arange(n)[inner]
-    for child in (tree.left[inner], tree.right[inner]):
-        if ((child <= node) | (child >= n)).any():
-            raise ModelFormatError("tree child index out of range")
+    child = tree.right[inner]
+    if ((child <= np.arange(n)[inner]) | (child >= n)).any():
+        raise ModelFormatError("tree child index out of range")
+    leaf_class = tree.right[~inner]
+    if ((leaf_class < 0) | (leaf_class >= n_classes)).any():
+        raise ModelFormatError(f"tree leaf class outside 0..{n_classes - 1}")
     return tree
 
 
@@ -392,7 +388,8 @@ def _json_list(value, kind, message: str) -> tuple:
 
 
 def forest_from_json(text: str) -> Forest:
-    """Parse a model document, rejecting unknown formats and versions."""
+    """Parse a model document, rejecting unknown formats and versions; the
+    params' tree count is the number of trees the document holds."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -408,33 +405,25 @@ def forest_from_json(text: str) -> Forest:
         raw_params = payload["params"]
         fps = raw_params["features_per_split"]
         _json_list(
-            [raw_params["trees"], raw_params["min_split"]] + ([] if fps is None else [fps]),
-            int, "params trees and min_split must be integers, features_per_split "
-            "an integer or null",
+            [raw_params["min_split"]] + ([] if fps is None else [fps]),
+            int, "params min_split and features_per_split must be integers "
+            "(features_per_split may be null)",
         )
-        params = ForestParams(
-            trees=raw_params["trees"],
-            features_per_split=fps,
-            min_split=raw_params["min_split"],
-            log_flags=_json_list(raw_params["log_flags"], bool,
-                                 "params log_flags must be a list of booleans"),
-        )
+        log_flags = _json_list(raw_params["log_flags"], bool,
+                               "params log_flags must be a list of booleans")
         label_names = _json_list(
             payload["label_names"], str, "label_names must be a list of strings"
         )
         if not label_names or "" in label_names or len(set(label_names)) < len(label_names):
             raise ModelFormatError("label_names must be distinct, non-empty strings")
-        n_features = len(params.log_flags)
         trees = tuple(
-            _tree_from_dict(t, n_features, len(label_names)) for t in payload["trees"]
+            _tree_from_dict(t, len(log_flags), len(label_names)) for t in payload["trees"]
         )
         if not trees:
             raise ModelFormatError("model holds no trees")
-        if params.trees != len(trees):
-            raise ModelFormatError(
-                f"params trees is {params.trees} but the model holds {len(trees)} trees"
-            )
-        params.validate(n_features)
+        params = ForestParams(trees=len(trees), features_per_split=fps,
+                              min_split=raw_params["min_split"], log_flags=log_flags)
+        params.validate(len(log_flags))
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -420,6 +420,15 @@ class TestConfigFile:
         assert code == 1
         assert f"{cfg}: config line 2: unknown key 'bogus'" in capsys.readouterr().err
 
+    def test_duplicate_key_rejected(self, tmp_path, corpus, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nseed = 2\n", encoding="utf-8")
+        code = main(["train", str(corpus["features"]),
+                     "--model-out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        assert code == 1
+        assert f"{cfg}: config line 2: duplicate key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_value_rejected(self, tmp_path, corpus, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("trees = many\n", encoding="utf-8")
@@ -965,7 +974,7 @@ class TestTrainPredict:
     def test_model_document(self, corpus, capsys):
         doc = json.loads(read(corpus["model"]))
         assert doc["format"] == "netclass-forest"
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert doc["label_names"] == ["BA", "ER"]
         assert len(doc["trees"]) == 9
 
@@ -1004,7 +1013,9 @@ class TestTrainPredict:
         assert "model" in capsys.readouterr().err
 
         good = json.loads(read(corpus["model"]))
-        leaf = good["trees"][0]["feature"].index(-1)
+        tree = good["trees"][0]
+        n = len(tree["feature"])
+        leaf = tree["feature"].index(-1)
 
         def edited(path, value):
             doc = json.loads(read(corpus["model"]))
@@ -1018,32 +1029,29 @@ class TestTrainPredict:
         cases = {
             "feature index 99": (
                 edited(["trees", 0, "feature", 0], 99), "feature index outside"),
-            "one count per leaf": (
-                edited(["trees", 0, "counts", leaf], [1]), "malformed"),
-            "three counts per leaf": (
-                edited(["trees", 0, "counts", leaf], [1, 0, 0]), "malformed"),
-            "all nodes three counts": (
-                edited(["trees", 0, "counts"],
-                       [c + [0] for c in good["trees"][0]["counts"]]), "2 counts"),
-            "child loops to parent": (
-                edited(["trees", 0, "left", 0], 0), "child index"),
+            "one right too few": (
+                edited(["trees", 0, "right"], tree["right"][:-1]), "one entry per node"),
+            "leaf class -1": (edited(["trees", 0, "right", leaf], -1), "leaf class outside 0..1"),
+            "leaf class 2 of 2 labels": (
+                edited(["trees", 0, "right", leaf], 2), "leaf class outside 0..1"),
+            "internal last node": (
+                edited(["trees", 0, "feature", n - 1], 0), "child index"),
+            "child loops to parent": (edited(["trees", 0, "right", 0], 0), "child index"),
+            "child past the last node": (edited(["trees", 0, "right", 0], n), "child index"),
             "no trees": (edited(["trees"], []), "no trees"),
             "version 1": (edited(["version"], 1), "retrain"),
             "version 2": (edited(["version"], 2), "retrain"),
+            "version 3": (edited(["version"], 3), "retrain"),
             "nested 5000 deep": (
                 '{"format":"netclass-forest","version":2,"trees":'
                 + "[" * 5000 + "]" * 5000 + "}", "not valid JSON"),
             "NaN threshold": (edited(["trees", 0, "threshold", 0], float("nan")), "finite"),
-            "count of -1": (edited(["trees", 0, "counts", leaf, 0], -1), "at least 0"),
             "fractional feature index": (
-                edited(["trees", 0, "feature", 0], good["trees"][0]["feature"][0] + 0.5),
-                "whole numbers"),
+                edited(["trees", 0, "feature", 0], tree["feature"][0] + 0.5), "whole numbers"),
             "fractional child index": (
-                edited(["trees", 0, "left", 0], good["trees"][0]["left"][0] + 0.5),
-                "whole numbers"),
-            "fractional count": (
-                edited(["trees", 0, "counts", leaf, 0], good["trees"][0]["counts"][leaf][0] + 0.5),
-                "whole numbers"),
+                edited(["trees", 0, "right", 0], tree["right"][0] + 0.5), "whole numbers"),
+            "fractional leaf class": (
+                edited(["trees", 0, "right", leaf], 0.5), "whole numbers"),
             "label_names a string": (
                 edited(["label_names"], "".join(map(str, range(len(good["label_names"]))))),
                 "list of strings"),
@@ -1059,10 +1067,6 @@ class TestTrainPredict:
             "log_flags one too many": (
                 edited(["params", "log_flags"], good["params"]["log_flags"] + [False]),
                 f"{bad.name}: the model takes 16 features, but a graph gives 15"),
-            "params trees a string": (edited(["params", "trees"], "7"), "must be integers"),
-            "params trees one more than stored": (
-                edited(["params", "trees"], len(good["trees"]) + 1),
-                f"holds {len(good['trees'])} trees"),
             "min_split 2.9": (edited(["params", "min_split"], 2.9), "must be integers"),
             "min_split 1": (edited(["params", "min_split"], 1), "min_split must be at least 2"),
             "features_per_split true": (

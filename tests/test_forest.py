@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import oracles
 from test_golden import multiclass_csv
 
 from netclass import Dataset, ForestParams, forest_predict, forest_train
@@ -41,13 +42,27 @@ def walk(tree, row):
     node = 0
     while tree.feature[node] >= 0:
         go_left = row[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
+        node = node + 1 if go_left else tree.right[node]
     return node
 
 
-def is_single_leaf(tree, counts):
-    return arrays(tree) == {"feature": [-1], "threshold": [0.0], "left": [-1],
-                            "right": [-1], "counts": [counts]}
+def is_single_leaf(tree, label):
+    return arrays(tree) == {"feature": [-1], "threshold": [0.0], "right": [label]}
+
+
+def assert_matches_reference(tree, reference):
+    """tree holds oracles.cart_tree's five arrays in the three it stores: the
+    same feature and threshold, the left child of internal node i is i + 1,
+    and right is the right child at internal nodes and the class of most
+    counts (ties to the lowest) at leaves."""
+    feature, threshold, left, right, counts = reference
+    inner = np.flatnonzero(feature >= 0)
+    assert np.array_equal(left[inner], inner + 1)
+    leaf_class = np.argmax(counts, axis=1)
+    for name, want in zip(TREE_ARRAYS, (feature, threshold,
+                                        np.where(feature >= 0, right, leaf_class))):
+        got = getattr(tree, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def unique_dataset(n_rows=40, n_cols=8, n_classes=4, seed=5):
@@ -66,8 +81,7 @@ class TestTrainTree:
         tree = train_tree(x, y, features_per_split=1, min_split=2, seed=0)
         assert tree.feature.tolist() == [0, -1, -1]  # a split, then two leaves
         assert tree.threshold[0] == 0.0  # midpoint of -1 and 1
-        assert (tree.left[0], tree.right[0]) == (1, 2)
-        assert tree.counts.tolist() == [[2, 2], [2, 0], [0, 2]]
+        assert tree.right.tolist() == [2, 0, 1]  # the right child, then each leaf's class
         assert tree.predict(np.array([[-5.0]])).tolist() == [0]
         assert tree.predict(np.array([[0.0]])).tolist() == [0]  # x <= threshold goes left
         assert tree.predict(np.array([[0.5]])).tolist() == [1]
@@ -81,20 +95,20 @@ class TestTrainTree:
     def test_pure_node_is_leaf(self):
         x = np.array([[1.0], [2.0], [3.0]])
         tree = train_tree(x, np.array([1, 1, 1]), 1, 2, seed=0, n_classes=2)
-        assert is_single_leaf(tree, [0, 3])
+        assert is_single_leaf(tree, 1)
 
     def test_min_split_stops_growth(self):
         x = np.array([[-1.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
         tree = train_tree(x, y, 1, min_split=5, seed=0)
-        assert is_single_leaf(tree, [2, 2])
+        assert is_single_leaf(tree, 0)  # a tie of two rows each goes to class 0
 
     def test_no_positive_gain_is_leaf(self):
         # identical rows with mixed labels cannot be split
         x = np.zeros((4, 3))
         y = np.array([0, 1, 0, 1])
         tree = train_tree(x, y, 3, 2, seed=0)
-        assert is_single_leaf(tree, [2, 2])
+        assert is_single_leaf(tree, 0)  # a tie of two rows each goes to class 0
 
     def test_equal_gain_breaks_to_lowest_feature(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -119,7 +133,7 @@ class TestTrainTree:
         # Each side of the one cut holds one row of each class: zero gain.
         tree = train_tree(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1]),
                           1, 2, seed=0)
-        assert is_single_leaf(tree, [2, 2])
+        assert is_single_leaf(tree, 0)  # a tie of two rows each goes to class 0
 
     @pytest.mark.parametrize("low,high", [
         (1.0 + EPS, 1.0 + 2 * EPS),  # the midpoint rounds up to the larger value
@@ -131,7 +145,7 @@ class TestTrainTree:
         tree = train_tree(x, np.array([0, 1, 0, 1]), 1, 2, 0, n_classes=2)
         assert tree.feature.tolist() == [0, -1, -1]
         assert tree.threshold[0] == low
-        assert tree.counts.tolist() == [[2, 2], [2, 0], [0, 2]]
+        assert tree.right.tolist() == [2, 0, 1]
         assert tree.predict(x).tolist() == [0, 1, 0, 1]
         params = ForestParams(trees=1, log_flags=(False,))
         text = forest_to_json(Forest((tree,), params, ("a", "b")))
@@ -153,6 +167,22 @@ class TestTrainTree:
         got = [int(tree.predict(x[i:i + 1])[0]) for i in range(25)]
         assert got == [int(v) for v in y]
         assert tree.predict(x).tolist() == got
+
+
+@pytest.mark.parametrize("min_split", [2, 7])
+def test_trees_on_the_500_row_table_match_the_reference(min_split):
+    """On the overlapping 4-class table, where min_split 7 leaves impure
+    leaves, each stored leaf class is the argmax of the reference's counts."""
+    ds = Dataset.from_feature_table(*read_features_csv(io.StringIO(multiclass_csv())))
+    x = apply_log(ds.matrix, feature_log_flags())
+    rows = make_rng(derive_seed(7, 0)).integers(0, ds.n_rows, size=ds.n_rows)
+    tree = train_tree(x[rows], ds.labels[rows], 4, min_split, derive_seed(7, 1), ds.n_classes)
+    reference = oracles.cart_tree(x[rows], ds.labels[rows], 4, min_split, derive_seed(7, 1),
+                                  ds.n_classes)
+    assert_matches_reference(tree, reference)
+    feature, *_, counts = reference
+    impure = np.count_nonzero(counts[feature < 0], axis=1) > 1
+    assert impure.any() == (min_split > 2)
 
 
 class TestForest:
@@ -216,7 +246,7 @@ class TestForest:
         want = np.zeros_like(votes)
         for tree in forest.trees:
             for i, row in enumerate(ds.matrix):
-                want[i, np.argmax(tree.counts[walk(tree, row)])] += 1
+                want[i, tree.right[walk(tree, row)]] += 1
         assert np.array_equal(votes, want)
         rows = [forest_predict(forest, row) for row in ds.matrix]
         assert all(type(label) is int for label, _ in rows)
@@ -286,15 +316,17 @@ class TestModelSerialization:
         ds = unique_dataset(n_rows=10)
         payload = json.loads(forest_to_json(forest_train(ds, ForestParams(trees=2), 0)))
         assert payload["format"] == "netclass-forest"
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert sorted(payload) == ["format", "label_names", "params", "trees", "version"]
         assert len(payload["trees"]) == 2
         assert payload["label_names"] == list(ds.label_names)
+        # The tree count is len(trees), so params does not repeat it.
+        assert sorted(payload["params"]) == ["features_per_split", "log_flags", "min_split"]
         assert payload["params"]["log_flags"] == [False] * 8
+        assert forest_from_json(json.dumps(payload)).params.trees == 2
         for tree in payload["trees"]:
-            assert sorted(tree) == sorted(TREE_ARRAYS)
-            assert len(tree["counts"]) == len(tree["feature"])
-            assert all(len(c) == ds.n_classes for c in tree["counts"])
+            assert sorted(tree) == sorted(TREE_ARRAYS) == ["feature", "right", "threshold"]
+            assert len(tree["right"]) == len(tree["threshold"]) == len(tree["feature"])
 
     def test_deep_tree_round_trips(self):
         # alternating labels on a line give a chain 1499 splits deep
@@ -314,7 +346,7 @@ class TestModelSerialization:
             forest_from_json('{"format": "something-else", "version": 1}')
 
     def test_wrong_version_rejected(self):
-        for version in (99, 1, 2):
+        for version in (99, 1, 2, 3):
             with pytest.raises(ModelFormatError, match="version.*retrain"):
                 forest_from_json(f'{{"format": "netclass-forest", "version": {version}}}')
 
@@ -326,4 +358,4 @@ class TestModelSerialization:
 
     def test_missing_key_rejected(self):
         with pytest.raises(ModelFormatError, match="malformed"):
-            forest_from_json('{"format": "netclass-forest", "version": 3}')
+            forest_from_json('{"format": "netclass-forest", "version": 4}')

@@ -53,3 +53,20 @@ def test_clustering_transitivity_assortativity(pair):
     assert fv.frac_closed_triangles == pytest.approx(nx.transitivity(reference), rel=1e-12)
     assert fv.assortativity == pytest.approx(
         nx.degree_assortativity_coefficient(reference), rel=1e-12)
+
+
+def test_clique_and_colouring_bounds(pair):
+    """max_clique_lb <= omega <= chromatic_number <= max_kcore + 1, with
+    omega exact from networkx, and the colouring behind chromatic_number
+    (first fit in reverse peel order) is proper.  The clique bound is one
+    below omega on some ER graphs, so it is checked as a bound."""
+    graph, reference = pair
+    fv = extract_features(graph)
+    omega = max(len(c) for c in nx.find_cliques(reference))
+    assert fv.max_clique_lb <= omega <= fv.chromatic_number <= fv.max_kcore + 1
+    color = {}
+    for v in reversed(core_decomposition(graph).peel_order.tolist()):
+        taken = {color[u] for u in reference[v] if u in color}
+        color[v] = min(c for c in range(len(taken) + 1) if c not in taken)
+    assert len(set(color.values())) == fv.chromatic_number
+    assert all(color[u] != color[v] for u, v in reference.edges())
