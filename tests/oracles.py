@@ -211,13 +211,13 @@ def greedy_clique(n, edges, order):
 
 
 def greedy_coloring(n, edges, order):
-    """Colors used by first-fit coloring in reverse peel order."""
+    """First-fit coloring in reverse peel order, as {node: color}."""
     adj = adjacency(n, edges)
     color = {}
     for v in reversed(order):
         taken = {color[u] for u in adj[v] if u in color}
         color[v] = min(c for c in range(len(taken) + 1) if c not in taken)
-    return len(set(color.values()))
+    return color
 
 
 def _gini_gain(sv, sy, n_classes, parent_counts, parent_gini):

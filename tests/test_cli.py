@@ -1031,6 +1031,10 @@ class TestTrainPredict:
                 edited(["trees", 0, "feature", 0], 99), "feature index outside"),
             "one right too few": (
                 edited(["trees", 0, "right"], tree["right"][:-1]), "one entry per node"),
+            "ragged right": (edited(["trees", 0, "right", leaf], [1]), "malformed"),
+            "ragged threshold": (edited(["trees", 0, "threshold", 0], [0.5, 1.5]), "malformed"),
+            "right one list per node": (
+                edited(["trees", 0, "right"], [[r] for r in tree["right"]]), "one entry per node"),
             "leaf class -1": (edited(["trees", 0, "right", leaf], -1), "leaf class outside 0..1"),
             "leaf class 2 of 2 labels": (
                 edited(["trees", 0, "right", leaf], 2), "leaf class outside 0..1"),

@@ -8,6 +8,7 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
+import oracles  # noqa: E402
 from netclass import default_corpus_specs, extract_features  # noqa: E402
 from netclass.features import core_decomposition, triangle_counts  # noqa: E402
 from netclass.synth import generate_entry  # noqa: E402
@@ -64,9 +65,7 @@ def test_clique_and_colouring_bounds(pair):
     fv = extract_features(graph)
     omega = max(len(c) for c in nx.find_cliques(reference))
     assert fv.max_clique_lb <= omega <= fv.chromatic_number <= fv.max_kcore + 1
-    color = {}
-    for v in reversed(core_decomposition(graph).peel_order.tolist()):
-        taken = {color[u] for u in reference[v] if u in color}
-        color[v] = min(c for c in range(len(taken) + 1) if c not in taken)
+    color = oracles.greedy_coloring(graph.node_count, list(graph.edges()),
+                                    core_decomposition(graph).peel_order.tolist())
     assert len(set(color.values())) == fv.chromatic_number
     assert all(color[u] != color[v] for u, v in reference.edges())
